@@ -139,16 +139,6 @@ RegionAtlas::RegionAtlas(expr::Instance base, int dim, AtlasConfig config,
              "atlas: intervals must end at config.hi");
 }
 
-const AtlasInterval& RegionAtlas::lookup(int size) const {
-  const int clamped = std::clamp(size, config_.lo, config_.hi);
-  // First interval whose upper bound reaches `clamped`; the intervals are a
-  // contiguous ascending partition, so it is the covering one.
-  const auto it = std::partition_point(
-      intervals_.begin(), intervals_.end(),
-      [clamped](const AtlasInterval& interval) { return interval.hi < clamped; });
-  return it != intervals_.end() ? *it : intervals_.back();
-}
-
 bool RegionAtlas::flops_reliable_at(int size) const {
   return !lookup(size).anomalous;
 }

@@ -36,11 +36,13 @@
 // /v1/query first probes the service's LRU allocation-free (thread-local
 // scratch query, stack-formatted answer, zero-copy Responder::send) — a
 // warm repeat answers entirely on the loop thread without touching the
-// allocator. A miss asks through query_async: already-built slices resolve
-// inline; anything needing an atlas scan resolves on the service's
-// background builder, watched by this object's small worker pool so the
-// loop never blocks. /v1/batch parses and answers entirely on a worker
-// (its slice builds ride the service's ThreadPool inside query_batch).
+// allocator. A miss asks through query_async: a query on an already-built
+// slice is answered inline by the service's query core; anything needing
+// an atlas scan (or an exact classification) resolves on the service's one
+// background worker, watched by this object's small worker pool so the
+// loop never blocks. /v1/batch parses and answers entirely on a worker: one
+// query_batch call, the query core alone (its slice builds ride the
+// service's ThreadPool).
 #pragma once
 
 #include <atomic>

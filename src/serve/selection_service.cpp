@@ -48,8 +48,9 @@ void validate_query(const Query& q, const expr::ExpressionFamily& family) {
 /// Same atlas slice: same family, same scanned dimension, same base line
 /// (all coordinates equal except the scanned one). Cheaper than comparing
 /// canonical key strings — no allocation, and batches are typically sweeps
-/// where consecutive queries share a slice.
-bool same_slice(const Query& a, const Query& b) {
+/// where consecutive queries share a slice. Forced inline: it is the
+/// per-query test of the batch-answering loop.
+[[gnu::always_inline]] inline bool same_slice(const Query& a, const Query& b) {
   if (a.dim != b.dim || a.dims.size() != b.dims.size()) {
     return false;
   }
@@ -60,18 +61,6 @@ bool same_slice(const Query& a, const Query& b) {
   }
   return a.family == b.family;  // the costliest comparison goes last
 }
-
-Recommendation recommendation_from(const anomaly::AtlasInterval& interval) {
-  Recommendation rec;
-  rec.algorithm = interval.recommended;
-  rec.flop_minimal = interval.flop_minimal;
-  rec.flops_reliable = !interval.anomalous;
-  rec.time_score = interval.worst_time_score;
-  rec.source = Source::kAtlas;
-  return rec;
-}
-
-constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
@@ -154,8 +143,8 @@ SelectionService::~SelectionService() {
   }
   // Fail anything that was still queued, instead of the anonymous
   // broken-promise error the promise destructor would produce.
-  for (auto& [bucket_key, bucket] : async_pending_) {
-    for (AsyncWaiter& waiter : bucket.waiters) {
+  for (std::vector<AsyncWaiter>& bucket : async_queue_) {
+    for (AsyncWaiter& waiter : bucket) {
       waiter.promise.set_exception(std::make_exception_ptr(support::CheckError(
           "SelectionService destroyed with pending async queries")));
     }
@@ -172,27 +161,16 @@ const expr::ExpressionFamily& SelectionService::resolve_family(
   return *it->second;
 }
 
-const expr::ExpressionFamily& SelectionService::family_for(const Query& q) {
-  const expr::ExpressionFamily& family = resolve_family(q.family);
-  validate_query(q, family);
-  return family;
-}
-
 store::AtlasKey SelectionService::atlas_key(const Query& q) const {
-  store::AtlasKey key;
-  key.family = q.family;
-  key.machine = machine_.name();
-  key.dim = q.dim;
-  key.base = q.dims;
+  store::AtlasKey key{q.family, machine_.name(), q.dim, q.dims, config_.atlas};
   key.base[static_cast<std::size_t>(q.dim)] = 0;
-  key.config = config_.atlas;
   return key;
 }
 
 SelectionService::AtlasPtr SelectionService::find_slice(const Snapshot& snap,
                                                         const SliceId& id) {
-  const auto it = snap.slices.find(id);
-  return it == snap.slices.end() ? nullptr : it->second.atlas;
+  const auto it = snap.find(id);
+  return it == snap.end() ? nullptr : it->second.atlas;
 }
 
 SelectionService::AtlasPtr SelectionService::build_slice(
@@ -211,31 +189,31 @@ SelectionService::AtlasPtr SelectionService::build_slice(
   // The canonicalised base carries a 0 at the scanned coordinate, which
   // the scan overrides at every sample; only the family name is needed.
   const expr::ExpressionFamily& family = resolve_family(key.family);
-  AtlasPtr built;
-  if (concurrent_timing_) {
-    built = std::make_shared<const anomaly::RegionAtlas>(
-        family, machine_, key.base, key.dim, config_.atlas);
-  } else {
-    const std::lock_guard<std::mutex> timing_lock(timing_mutex_);
-    built = std::make_shared<const anomaly::RegionAtlas>(
-        family, machine_, key.base, key.dim, config_.atlas);
+  std::unique_lock<std::mutex> timing_lock(timing_mutex_, std::defer_lock);
+  if (!concurrent_timing_) {
+    timing_lock.lock();
   }
+  const AtlasPtr built = std::make_shared<const anomaly::RegionAtlas>(
+      family, machine_, key.base, key.dim, config_.atlas);
   atlas_samples_.fetch_add(built->samples_used());
   atlases_built_.fetch_add(1);
   return built;
 }
 
-SelectionService::AtlasPtr SelectionService::publish(
-    const store::AtlasKey& key, const SliceId& id, AtlasPtr atlas) {
+std::size_t SelectionService::publish(
+    std::vector<std::pair<store::AtlasKey, AtlasPtr>> fresh) {
   const std::lock_guard<std::mutex> lock(publish_mutex_);
   auto next = std::make_shared<Snapshot>(*snapshot_.load());
-  const auto [it, inserted] =
-      next->slices.try_emplace(id, Slice{key, std::move(atlas)});
-  const AtlasPtr result = it->second.atlas;
-  if (inserted) {
+  std::size_t inserted = 0;
+  for (auto& [key, atlas] : fresh) {
+    if (next->try_emplace(slice_id(key), Slice{key, std::move(atlas)}).second) {
+      ++inserted;
+    }
+  }
+  if (inserted > 0) {
     snapshot_.store(std::move(next));
   }
-  return result;
+  return inserted;
 }
 
 SelectionService::AtlasPtr SelectionService::obtain_atlas(
@@ -274,49 +252,43 @@ SelectionService::AtlasPtr SelectionService::obtain_atlas(
       // Another thread won the build; its outcome drives the breaker.
       breaker_probe_release(id);
     }
-    if (degrade && config_.build_deadline_s > 0.0) {
-      const auto deadline =
-          std::chrono::duration<double>(config_.build_deadline_s);
-      if (shared.wait_for(deadline) != std::future_status::ready) {
-        // The build continues and publishes for later queries; this caller
-        // answers from fallback now.
-        return nullptr;
-      }
-    }
-    if (!degrade) {
-      return shared.get();  // blocks on the builder; rethrows its error
+    if (degrade && config_.build_deadline_s > 0.0 &&
+        shared.wait_for(std::chrono::duration<double>(
+            config_.build_deadline_s)) != std::future_status::ready) {
+      // The build continues and publishes for later queries; this caller
+      // answers from fallback now.
+      return nullptr;
     }
     try {
-      return shared.get();
+      return shared.get();  // blocks on the builder; rethrows its error
     } catch (...) {
+      if (!degrade) {
+        throw;
+      }
       return nullptr;  // the builder already recorded the breaker failure
     }
   }
+  AtlasPtr result;
+  std::exception_ptr error;
   try {
-    AtlasPtr result = publish(key, id, build_slice(key));
+    publish({{key, build_slice(key)}});
+    result = find_slice(*snapshot(), id);  // the first publication wins
     promise.set_value(result);
-    {
-      const std::lock_guard<std::mutex> lock(builds_mutex_);
-      in_flight_.erase(id);
-    }
-    if (degrade && config_.breaker_threshold > 0) {
-      breaker_success(id);
-    }
-    return result;
   } catch (...) {
-    promise.set_exception(std::current_exception());
-    {
-      const std::lock_guard<std::mutex> lock(builds_mutex_);
-      in_flight_.erase(id);
-    }
-    if (degrade) {
-      if (config_.breaker_threshold > 0) {
-        breaker_failure(id);
-      }
-      return nullptr;
-    }
-    throw;
+    error = std::current_exception();
+    promise.set_exception(error);
   }
+  {
+    const std::lock_guard<std::mutex> lock(builds_mutex_);
+    in_flight_.erase(id);
+  }
+  if (degrade && config_.breaker_threshold > 0) {
+    error ? breaker_failure(id) : breaker_success(id);
+  }
+  if (error && !degrade) {
+    std::rethrow_exception(error);
+  }
+  return result;
 }
 
 bool SelectionService::breaker_admit(const SliceId& id, bool& probe) {
@@ -408,29 +380,21 @@ std::vector<BreakerSnapshot> SelectionService::breaker_states() const {
 
 std::size_t SelectionService::async_queue_depth() const {
   const std::lock_guard<std::mutex> lock(async_mutex_);
-  return async_order_.size();
+  return async_queue_.size();
 }
 
 Recommendation SelectionService::classify_exact(const Query& q) {
   const obs::SpanScope build_span(obs::Stage::kBuild);
-  const expr::ExpressionFamily& family = family_for(q);
-  anomaly::InstanceResult result = [&] {
-    if (concurrent_timing_) {
-      return anomaly::classify_instance(family, machine_, q.dims,
-                                        config_.atlas.time_score_threshold);
-    }
-    const std::lock_guard<std::mutex> timing_lock(timing_mutex_);
-    return anomaly::classify_instance(family, machine_, q.dims,
-                                      config_.atlas.time_score_threshold);
-  }();
+  const expr::ExpressionFamily& family = resolve_family(q.family);
+  std::unique_lock<std::mutex> timing_lock(timing_mutex_, std::defer_lock);
+  if (!concurrent_timing_) {
+    timing_lock.lock();
+  }
+  const anomaly::InstanceResult result = anomaly::classify_instance(
+      family, machine_, q.dims, config_.atlas.time_score_threshold);
   measured_queries_.fetch_add(1);
-  Recommendation rec;
-  rec.algorithm = result.fastest.front();
-  rec.flop_minimal = result.cheapest.front();
-  rec.flops_reliable = !result.anomaly;
-  rec.time_score = result.time_score;
-  rec.source = Source::kMeasured;
-  return rec;
+  return Recommendation{result.fastest.front(), result.cheapest.front(),
+                        !result.anomaly, result.time_score, Source::kMeasured};
 }
 
 Recommendation SelectionService::fallback_answer(const Query& q) {
@@ -445,151 +409,99 @@ Recommendation SelectionService::fallback_answer(const Query& q) {
       best = i;  // strict <: ties keep the earliest, the canonical order
     }
   }
-  Recommendation rec;
-  rec.algorithm = best;
-  rec.flop_minimal = best;
-  rec.flops_reliable = true;
-  rec.time_score = 0.0;
-  rec.source = Source::kFallback;
   degraded_answers_.fetch_add(1);
-  return rec;
-}
-
-Recommendation SelectionService::query(const Query& q) {
-  {
-    const obs::SpanScope lru_span(obs::Stage::kLru);
-    if (auto hit = cache_.get(q)) {
-      hit->source = Source::kCache;
-      cache_answers_.fetch_add(1);
-      return *hit;
-    }
-  }
-  family_for(q);  // validate family, arity and dimension before working
-
-  Recommendation rec;
-  if (q.exact) {
-    rec = classify_exact(q);
-  } else {
-    const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-    const SliceId id = slice_id(q);
-    AtlasPtr atlas = find_slice(*snapshot(), id);
-    if (atlas == nullptr && config_.auto_build) {
-      atlas = obtain_atlas(atlas_key(q), id);
-      if (atlas == nullptr) {
-        // degrade_on_failure: the build failed, timed out or is breakered.
-        // Never cached, so the next miss retries (or the breaker gates it).
-        return fallback_answer(q);
-      }
-    }
-    if (atlas != nullptr) {
-      rec = recommendation_from(
-          atlas->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
-      atlas_answers_.fetch_add(1);
-    } else {
-      rec = classify_exact(q);
-    }
-  }
-  cache_.put(q, rec);
-  return rec;
+  return Recommendation{best, best, true, 0.0, Source::kFallback};
 }
 
 bool SelectionService::try_cached(const Query& q, Recommendation& out) {
-  // Mirrors query()'s hit block exactly (same span, same counters) so a
-  // caller probing here first observes identical payloads and metrics; the
-  // Recommendation is a POD and ShardedLruCache::get allocates nothing, so
-  // the whole probe is allocation-free.
+  // The one LRU probe. Recommendation is a POD and ShardedLruCache::get
+  // allocates nothing, so the whole probe is allocation-free.
   const obs::SpanScope lru_span(obs::Stage::kLru);
   if (auto hit = cache_.get(q)) {
-    hit->source = Source::kCache;
-    cache_answers_.fetch_add(1);
     out = *hit;
+    out.source = Source::kCache;
+    cache_answers_.fetch_add(1);
     return true;
   }
   return false;
 }
 
-std::vector<Recommendation> SelectionService::query_batch(
-    std::span<const Query> batch) {
-  std::vector<Recommendation> out(batch.size());
-  if (batch.empty()) {
-    return out;
-  }
-  LAMB_CHECK(batch.size() <= ~std::uint32_t{0},
-             "query_batch: batch too large");  // indices are 32-bit
-  batch_calls_.fetch_add(1);
-  batch_queries_.fetch_add(batch.size());
+Recommendation SelectionService::query(const Query& q) {
+  Recommendation rec;
+  return try_cached(q, rec) ? rec : answer_one(q);
+}
 
-  // With on-demand building off, a single query() may cache a measured
-  // (classified) answer that a later atlas lookup would not reproduce;
-  // strict bit-identity with sequential query() calls then requires the
-  // cache to stay in the loop. Builds are disabled anyway, so there is
-  // nothing for the batch path to group or amortise — delegate wholesale.
-  if (!config_.auto_build) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out[i] = query(batch[i]);
+Recommendation SelectionService::answer_one(const Query& q) {
+  Recommendation rec;
+  answer(std::span<const Query>(&q, 1), std::span<Recommendation>(&rec, 1),
+         /*probed=*/true);
+  // Fallback answers are never cached, so the next miss retries the build
+  // (or the breaker gates it).
+  if (rec.source != Source::kFallback) {
+    cache_.put(q, rec);
+  }
+  return rec;
+}
+
+template <class Fn>
+void SelectionService::for_each_index(std::size_t n, const Fn& fn) {
+  if (pool_ != nullptr && pool_->size() > 1 && n > 1) {
+    // Pool workers have no trace context of their own; hand them ours so
+    // their spans land in the caller's tree.
+    const obs::TraceContext ctx = obs::current_context();
+    pool_->parallel_for(static_cast<std::ptrdiff_t>(n),
+                        [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
+                          const obs::ContextGuard guard(ctx);
+                          for (std::ptrdiff_t i = begin; i < end; ++i) {
+                            fn(static_cast<std::size_t>(i));
+                          }
+                        });
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(i);
     }
-    return out;
   }
+}
 
-  // One atlas span covers the whole grouped answering (slice resolution,
-  // deferred builds nest inside it as build spans, interval sweeps).
+std::size_t SelectionService::answer(std::span<const Query> batch,
+                                     std::span<Recommendation> out,
+                                     bool probed) {
+  LAMB_CHECK(batch.size() <= ~std::uint32_t{0},
+             "query batch too large");  // indices are 32-bit
+  const bool answering = !out.empty();
+  // One atlas span covers the whole call; builds nest inside it.
   const obs::SpanScope atlas_span(obs::Stage::kAtlas);
 
   struct Group {
-    std::size_t rep;  ///< index of the group's first query
-    AtlasPtr atlas;
-    // Hoisted for the answer path: the interval partition, its range, and a
-    // memo of the last interval hit — a sweep's next step (or a random
-    // coordinate in a wide interval) is a two-comparison answer.
-    const anomaly::AtlasInterval* intervals = nullptr;
-    const anomaly::AtlasInterval* memo = nullptr;
-    int lo = 0;
-    int hi = 0;
+    std::uint32_t rep;                   ///< index of the group's first query
+    const anomaly::RegionAtlas* atlas;  ///< null until obtained
   };
   std::vector<Group> groups;
+  std::vector<std::uint32_t> missing;  // groups whose slice is not built
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deferred;  // (query, group)
-  std::vector<std::uint32_t> exact_queries;  // -> query() path, input order
+  std::vector<std::uint32_t> exact_queries;
   const SnapshotPtr snap = snapshot();  // one atomic load for the whole batch
-
-  // Answer a query from its group's partition: clamp + scan of the ascending
-  // contiguous intervals, bit-identical to RegionAtlas::lookup() (the same
-  // clamp + partition point), but with no locks, hashing or function calls.
-  const auto answer = [&](std::size_t i, Group& group) {
-    const Query& q = batch[i];
-    int c = q.dims[static_cast<std::size_t>(q.dim)];
-    c = c < group.lo ? group.lo : (c > group.hi ? group.hi : c);
-    const anomaly::AtlasInterval* interval = group.memo;
-    if (interval == nullptr || c < interval->lo || c > interval->hi) {
-      interval = group.intervals;
-      while (interval->hi < c) {
-        ++interval;
-      }
-      group.memo = interval;
-    }
-    out[i] = recommendation_from(*interval);
-  };
-  const auto adopt = [](Group& group, AtlasPtr atlas) {
-    group.intervals = atlas->intervals().data();
-    group.lo = atlas->config().lo;
-    group.hi = atlas->config().hi;
-    group.atlas = std::move(atlas);
+  const auto answer_from = [&](std::size_t i, const auto& atlas) {
+    const anomaly::AtlasInterval& iv =
+        atlas.lookup(batch[i].dims[static_cast<std::size_t>(batch[i].dim)]);
+    out[i] = Recommendation{iv.recommended, iv.flop_minimal, !iv.anomalous,
+                            iv.worst_time_score, Source::kAtlas};
   };
 
   // Pass 1 — validate, group by slice, and answer everything already
   // servable, in one sweep. Consecutive queries usually share a slice
   // (batches are sweeps), so the hot case is one slice comparison plus one
   // positivity check — the other coordinates were validated on the group's
-  // representative, and same_slice pins them equal. Distinct slices per
-  // batch are few, so the cold case is a linear group scan; brand-new
-  // groups resolve their slice against the snapshot once. Queries whose
-  // slice is not built yet are deferred.
+  // first query, and same_slice pins them equal. Distinct slices per batch
+  // are few, so the cold case is a linear group scan; a new group resolves
+  // its slice against the snapshot once. Queries on unbuilt slices wait.
   const expr::ExpressionFamily* family = nullptr;
   const std::string* family_name = nullptr;
-  std::uint32_t last_group = kNoGroup;
+  std::uint32_t last_group = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
     std::uint32_t g;
-    if (!q.exact && last_group != kNoGroup &&
+    if (!q.exact && !groups.empty() &&
         same_slice(q, batch[groups[last_group].rep])) {
       LAMB_CHECK(q.dims[static_cast<std::size_t>(q.dim)] >= 1,
                  "query dimensions must be positive");
@@ -601,137 +513,102 @@ std::vector<Recommendation> SelectionService::query_batch(
       }
       validate_query(q, *family);
       if (q.exact) {
-        exact_queries.push_back(static_cast<std::uint32_t>(i));
-        continue;  // answered on the query() path below
-      }
-      g = kNoGroup;
-      for (std::uint32_t k = 0; k < groups.size(); ++k) {
-        if (same_slice(q, batch[groups[k].rep])) {
-          g = k;
-          break;
+        if (answering) {
+          exact_queries.push_back(static_cast<std::uint32_t>(i));
         }
+        continue;
       }
-      if (g == kNoGroup) {
-        Group group{i, nullptr, nullptr, nullptr, 0, 0};
-        if (AtlasPtr atlas = find_slice(*snap, slice_id(q))) {
-          adopt(group, std::move(atlas));
+      const auto it =
+          std::find_if(groups.begin(), groups.end(), [&](const Group& group) {
+            return same_slice(q, batch[group.rep]);
+          });
+      g = static_cast<std::uint32_t>(it - groups.begin());
+      if (it == groups.end()) {
+        groups.push_back(Group{static_cast<std::uint32_t>(i),
+                               find_slice(*snap, slice_id(q)).get()});
+        if (groups.back().atlas == nullptr) {
+          missing.push_back(g);
         }
-        groups.push_back(std::move(group));
-        g = static_cast<std::uint32_t>(groups.size() - 1);
       }
       last_group = g;
     }
-    if (groups[g].intervals != nullptr) {
-      answer(i, groups[g]);
+    if (!answering) {
+      continue;
+    }
+    if (groups[g].atlas != nullptr) {
+      answer_from(i, *groups[g].atlas);
     } else {
       deferred.emplace_back(static_cast<std::uint32_t>(i), g);
     }
   }
 
-  // Pass 2 — build every missing slice exactly once (in parallel on the
-  // pool when the machine's timing is thread-safe; a build failure
-  // propagates, first error wins — or, with degrade_on_failure, degrades
-  // just that group's queries to the fallback), then answer the deferred
-  // queries.
+  // Pass 2 — obtain every missing slice once (a build failure propagates,
+  // first error wins — or, with degrade_on_failure, leaves the group
+  // without an atlas), then answer the waiting queries.
+  // Raw pointers are safe: published atlases are never dropped.
+  for_each_index(missing.size(), [&](std::size_t m) {
+    Group& group = groups[missing[m]];
+    const Query& q = batch[group.rep];
+    group.atlas = obtain_atlas(atlas_key(q), slice_id(q)).get();
+  });
   std::size_t degraded = 0;
-  if (!deferred.empty()) {
-    std::vector<std::pair<std::size_t, store::AtlasKey>> missing;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].atlas == nullptr) {
-        missing.emplace_back(g, atlas_key(batch[groups[g].rep]));
-      }
-    }
-    std::vector<AtlasPtr> built(missing.size());
-    const auto build_one = [&](std::size_t m) {
-      const store::AtlasKey& key = missing[m].second;
-      built[m] = obtain_atlas(key, slice_id(key));
-    };
-    if (pool_ != nullptr && pool_->size() > 1 && missing.size() > 1) {
-      // Pool workers have no trace context of their own; hand them ours so
-      // their build spans land in this request's tree.
-      const obs::TraceContext ctx = obs::current_context();
-      pool_->parallel_for(static_cast<std::ptrdiff_t>(missing.size()),
-                          [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                            const obs::ContextGuard guard(ctx);
-                            for (std::ptrdiff_t m = begin; m < end; ++m) {
-                              build_one(static_cast<std::size_t>(m));
-                            }
-                          });
+  for (const auto& [i, g] : deferred) {
+    if (groups[g].atlas != nullptr) {
+      answer_from(i, *groups[g].atlas);
     } else {
-      for (std::size_t m = 0; m < missing.size(); ++m) {
-        build_one(m);
-      }
-    }
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-      if (built[m] != nullptr) {
-        adopt(groups[missing[m].first], std::move(built[m]));
-      }
-    }
-    for (const auto& [i, g] : deferred) {
-      if (groups[g].intervals != nullptr) {
-        answer(i, groups[g]);
-      } else {
-        // degrade_on_failure: the group's build degraded; its queries
-        // answer from the analytical fallback instead of failing the batch.
-        out[i] = fallback_answer(batch[i]);
-        ++degraded;
-      }
+      out[i] = fallback_answer(batch[i]);
+      ++degraded;
     }
   }
+  if (answering) {
+    // Every non-exact query not degraded was answered from its slice.
+    atlas_answers_.fetch_add(batch.size() - exact_queries.size() - degraded);
+  }
+  const auto obtained = std::count_if(
+      missing.begin(), missing.end(),
+      [&](std::uint32_t g) { return groups[g].atlas != nullptr; });
 
-  // Pass 3 — exact queries take the ordinary query() path, in input order.
+  // Pass 3 — exact queries, in input order.
   for (const std::uint32_t i : exact_queries) {
-    out[i] = query(batch[i]);
+    if (probed || !try_cached(batch[i], out[i])) {
+      out[i] = classify_exact(batch[i]);
+      if (!probed) {
+        cache_.put(batch[i], out[i]);
+      }
+    }
   }
-  // Everything not on the exact or degraded path was answered from a
-  // grouped slice.
-  atlas_answers_.fetch_add(batch.size() - exact_queries.size() - degraded);
+  return static_cast<std::size_t>(obtained);
+}
+
+std::vector<Recommendation> SelectionService::query_batch(
+    std::span<const Query> batch) {
+  std::vector<Recommendation> out(batch.size());
+  if (!batch.empty()) {
+    batch_calls_.fetch_add(1);
+    batch_queries_.fetch_add(batch.size());
+    answer(batch, out, /*probed=*/false);
+  }
   return out;
 }
 
 std::future<Recommendation> SelectionService::query_async(Query q) {
-  family_for(q);  // invalid queries throw here, synchronously, like query()
+  // Invalid queries throw here, synchronously, like query().
+  validate_query(q, resolve_family(q.family));
   async_calls_.fetch_add(1);
   std::promise<Recommendation> ready;
-  {
-    const obs::SpanScope lru_span(obs::Stage::kLru);
-    if (auto hit = cache_.get(q)) {
-      hit->source = Source::kCache;
-      cache_answers_.fetch_add(1);
-      ready.set_value(*hit);
-      return ready.get_future();
-    }
+  Recommendation rec;
+  const bool cached = try_cached(q, rec);
+  if (cached || (!q.exact && find_slice(*snapshot(), slice_id(q)) != nullptr)) {
+    // A built slice answers inline. The core's span closes before any
+    // enqueue, so a queued waiter's captured context stays parented at the
+    // request root: the worker answers long after, and spans must nest
+    // inside their parent's.
+    ready.set_value(cached ? rec : answer_one(q));
+    return ready.get_future();
   }
-  if (!q.exact) {
-    SliceId id = slice_id(q);
-    {
-      // The span covers the synchronous lookup only. The enqueue below must
-      // happen OUTSIDE it so the waiter's captured context stays parented
-      // at the request root: the worker answers long after this scope's
-      // interval closed, and spans must nest inside their parent's.
-      const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-      if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
-        const Recommendation rec = recommendation_from(
-            atlas->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
-        atlas_answers_.fetch_add(1);
-        cache_.put(q, rec);
-        ready.set_value(rec);
-        return ready.get_future();
-      }
-    }
-    store::AtlasKey key = atlas_key(q);  // before q is moved from
-    return enqueue_async(std::move(id), std::move(key), false, std::move(q));
-  }
-  // Exact queries dedup by their own identity (dim -1 marks the bucket as
-  // exact-shaped); the bucket only batches waiters, the worker still
-  // answers each waiter individually.
-  SliceId bucket_id{q.family, -1, q.dims};
-  return enqueue_async(std::move(bucket_id), store::AtlasKey{}, true,
-                       std::move(q));
-}
-
-std::future<Recommendation> SelectionService::enqueue_async(
-    SliceId bucket_id, store::AtlasKey key, bool exact, Query q) {
+  // Queue next to the waiters for the same slice (exact queries: the same
+  // query). A new bucket past the bound sheds to the analytical fallback
+  // instead of growing the backlog; joining a queued bucket adds no build.
   std::future<Recommendation> fut;
   {
     const std::lock_guard<std::mutex> lock(async_mutex_);
@@ -739,28 +616,23 @@ std::future<Recommendation> SelectionService::enqueue_async(
     if (!async_worker_.joinable()) {
       async_worker_ = std::thread([this] { async_worker_loop(); });
     }
-    // Bounded queue: a brand-new bucket past the bound sheds to the
-    // analytical fallback instead of growing the backlog without limit.
-    // Waiters joining an already-queued bucket always join — they add no
-    // build work.
-    if (config_.degrade_on_failure && config_.max_build_queue > 0 &&
-        async_order_.size() >= config_.max_build_queue &&
-        async_pending_.find(bucket_id) == async_pending_.end()) {
-      builds_shed_.fetch_add(1);
-      std::promise<Recommendation> shed;
-      fut = shed.get_future();
-      shed.set_value(fallback_answer(q));
-      return fut;
+    auto bucket = std::find_if(
+        async_queue_.begin(), async_queue_.end(), [&](const auto& waiters) {
+          const Query& queued = waiters.front().query;
+          return queued.exact == q.exact &&
+                 (q.exact ? queued == q : same_slice(queued, q));
+        });
+    if (bucket == async_queue_.end()) {
+      if (config_.degrade_on_failure && config_.max_build_queue > 0 &&
+          async_queue_.size() >= config_.max_build_queue) {
+        builds_shed_.fetch_add(1);
+        ready.set_value(fallback_answer(q));
+        return ready.get_future();
+      }
+      bucket = async_queue_.emplace(async_queue_.end());
     }
-    const auto [it, inserted] = async_pending_.try_emplace(bucket_id);
-    if (inserted) {
-      it->second.key = std::move(key);
-      it->second.exact = exact;
-      async_order_.push_back(std::move(bucket_id));
-    }
-    it->second.waiters.push_back(
-        AsyncWaiter{std::move(q), {}, obs::current_context()});
-    fut = it->second.waiters.back().promise.get_future();
+    bucket->push_back(AsyncWaiter{std::move(q), {}, obs::current_context()});
+    fut = bucket->back().promise.get_future();
   }
   async_cv_.notify_one();
   return fut;
@@ -768,88 +640,39 @@ std::future<Recommendation> SelectionService::enqueue_async(
 
 void SelectionService::async_worker_loop() {
   for (;;) {
-    AsyncBucket bucket;
+    std::vector<AsyncWaiter> bucket;
     {
       std::unique_lock<std::mutex> lock(async_mutex_);
       async_cv_.wait(lock,
-                     [&] { return async_stop_ || !async_order_.empty(); });
+                     [&] { return async_stop_ || !async_queue_.empty(); });
       if (async_stop_) {
         return;  // the destructor fails whatever is still queued
       }
-      const SliceId bucket_id = std::move(async_order_.front());
-      async_order_.pop_front();
-      const auto it = async_pending_.find(bucket_id);
-      bucket = std::move(it->second);
-      async_pending_.erase(it);
+      bucket = std::move(async_queue_.front());
+      async_queue_.pop_front();
     }
-    if (!bucket.exact && config_.auto_build) {
-      // One deduplicated build for every waiter on this slice; its spans
-      // attach to the first waiter's request (the one that caused it).
+    // Each waiter is answered under its own trace context. The first one's
+    // query() builds the slice (its spans attach to the request that caused
+    // the build); the rest find it published. A build error fails the
+    // whole bucket without rebuilding once per waiter.
+    std::exception_ptr error;
+    for (AsyncWaiter& waiter : bucket) {
       try {
-        const obs::ContextGuard guard(bucket.waiters.front().ctx);
-        const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-        obtain_atlas(bucket.key, slice_id(bucket.key));
-      } catch (...) {
-        const std::exception_ptr error = std::current_exception();
-        for (AsyncWaiter& waiter : bucket.waiters) {
-          waiter.promise.set_exception(error);
+        if (error) {
+          std::rethrow_exception(error);
         }
-        continue;
-      }
-    }
-    for (AsyncWaiter& waiter : bucket.waiters) {
-      try {
         const obs::ContextGuard guard(waiter.ctx);
         waiter.promise.set_value(query(waiter.query));
       } catch (...) {
-        waiter.promise.set_exception(std::current_exception());
+        error = std::current_exception();
+        waiter.promise.set_exception(error);
       }
     }
   }
 }
 
 std::size_t SelectionService::warm(std::span<const Query> batch) {
-  // Distinct slices missing from the current snapshot, in first-appearance
-  // order. obtain_atlas() rechecks and deduplicates against concurrent
-  // builders, so a stale snapshot only costs a redundant queue entry.
-  std::vector<std::pair<store::AtlasKey, SliceId>> to_build;
-  const SnapshotPtr snap = snapshot();
-  for (const Query& q : batch) {
-    if (q.exact) {
-      continue;
-    }
-    family_for(q);
-    SliceId id = slice_id(q);
-    if (find_slice(*snap, id) != nullptr) {
-      continue;
-    }
-    const auto dup = std::find_if(
-        to_build.begin(), to_build.end(),
-        [&](const auto& entry) { return entry.second == id; });
-    if (dup == to_build.end()) {
-      to_build.emplace_back(atlas_key(q), std::move(id));
-    }
-  }
-  if (to_build.empty()) {
-    return 0;
-  }
-  if (pool_ != nullptr && pool_->size() > 1 && to_build.size() > 1) {
-    const obs::TraceContext ctx = obs::current_context();
-    pool_->parallel_for(static_cast<std::ptrdiff_t>(to_build.size()),
-                        [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                          const obs::ContextGuard guard(ctx);
-                          for (std::ptrdiff_t i = begin; i < end; ++i) {
-                            const auto& [key, id] =
-                                to_build[static_cast<std::size_t>(i)];
-                            obtain_atlas(key, id);
-                          }
-                        });
-  } else {
-    for (const auto& [key, id] : to_build) {
-      obtain_atlas(key, id);
-    }
-  }
-  return to_build.size();
+  return answer(batch, {}, /*probed=*/false);
 }
 
 std::size_t SelectionService::warm_from_store(
@@ -885,34 +708,19 @@ std::size_t SelectionService::warm_from_store(
                        std::make_shared<const anomaly::RegionAtlas>(
                            std::move(record->atlas)));
   }
-  if (fresh.empty()) {
-    return 0;
-  }
   // One copy-on-write swap adopts everything; already-present slices win
   // (they may be referenced by outstanding atlas_for() pointers).
-  std::size_t adopted = 0;
-  const std::lock_guard<std::mutex> lock(publish_mutex_);
-  auto next = std::make_shared<Snapshot>(*snapshot_.load());
-  for (auto& [key, atlas] : fresh) {
-    const auto [it, inserted] =
-        next->slices.try_emplace(slice_id(key), Slice{key, std::move(atlas)});
-    if (inserted) {
-      atlases_loaded_.fetch_add(1);
-      ++adopted;
-    }
-  }
-  if (adopted > 0) {
-    snapshot_.store(std::move(next));
-  }
+  const std::size_t adopted = fresh.empty() ? 0 : publish(std::move(fresh));
+  atlases_loaded_.fetch_add(adopted);
   return adopted;
 }
 
 std::size_t SelectionService::checkpoint(store::AtlasStore& atlas_store) const {
   const SnapshotPtr snap = snapshot_.load();
-  for (const auto& [id, slice] : snap->slices) {
+  for (const auto& [id, slice] : *snap) {
     atlas_store.save(slice.key, *slice.atlas);
   }
-  return snap->slices.size();
+  return snap->size();
 }
 
 std::size_t SelectionService::refresh_slices() {
@@ -924,8 +732,8 @@ std::size_t SelectionService::refresh_slices() {
   // machine's current timings and are not stale.
   const SnapshotPtr stale = snapshot_.load();
   std::vector<const Slice*> slices;
-  slices.reserve(stale->slices.size());
-  for (const auto& [id, slice] : stale->slices) {
+  slices.reserve(stale->size());
+  for (const auto& [id, slice] : *stale) {
     slices.push_back(&slice);
   }
   if (slices.empty()) {
@@ -937,23 +745,9 @@ std::size_t SelectionService::refresh_slices() {
   // the old generation the whole time. A build failure throws out of here
   // with the old generation fully intact.
   std::vector<AtlasPtr> rebuilt(slices.size());
-  const auto build_one = [&](std::size_t i) {
+  for_each_index(slices.size(), [&](std::size_t i) {
     rebuilt[i] = build_slice(slices[i]->key);
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && slices.size() > 1) {
-    const obs::TraceContext ctx = obs::current_context();
-    pool_->parallel_for(static_cast<std::ptrdiff_t>(slices.size()),
-                        [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                          const obs::ContextGuard guard(ctx);
-                          for (std::ptrdiff_t i = begin; i < end; ++i) {
-                            build_one(static_cast<std::size_t>(i));
-                          }
-                        });
-  } else {
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      build_one(i);
-    }
-  }
+  });
 
   // One copy-on-write swap replaces the whole stale set. The copy is taken
   // from the *current* snapshot, so slices published since the stale load
@@ -963,7 +757,7 @@ std::size_t SelectionService::refresh_slices() {
     const std::lock_guard<std::mutex> lock(publish_mutex_);
     auto next = std::make_shared<Snapshot>(*snapshot_.load());
     for (std::size_t i = 0; i < slices.size(); ++i) {
-      const auto it = next->slices.find(slice_id(slices[i]->key));
+      const auto it = next->find(slice_id(slices[i]->key));
       retired_.push_back(std::move(it->second.atlas));
       it->second.atlas = std::move(rebuilt[i]);
     }
@@ -980,14 +774,14 @@ std::size_t SelectionService::refresh_slices() {
 }
 
 const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
-  family_for(q);
+  validate_query(q, resolve_family(q.family));
   // Safe to return raw: published atlases are never dropped while the
   // service lives (snapshots only ever grow).
   return find_slice(*snapshot(), slice_id(q)).get();
 }
 
 std::size_t SelectionService::atlas_count() const {
-  return snapshot_.load()->slices.size();
+  return snapshot_.load()->size();
 }
 
 ServiceStats SelectionService::stats() const {

@@ -20,8 +20,17 @@
 //      swapped snapshots (see below), built on demand, batch-built on the
 //      ThreadPool when the machine's timing is thread-safe, warmable from /
 //      checkpointable to a store::AtlasStore directory,
-//   3. direct classification ("measured") for exact queries and for misses
-//      when on-demand building is disabled.
+//   3. direct classification ("measured") for exact queries.
+//
+// One private core answers every query: it validates a batch, groups it by
+// slice, resolves each group against one snapshot load, builds each missing
+// slice once, answers through RegionAtlas::lookup(), classifies exact
+// queries, and degrades to the analytical fallback where a slice cannot be
+// obtained. The entry points are thin uses of it: try_cached() is the LRU
+// probe alone; query() is that probe, the core on a batch of one, and an
+// LRU fill; query_batch() is the core alone; warm() is the core without
+// answers; query_async() answers inline when the slice is built and
+// otherwise queues the query for one background worker that calls query().
 //
 // Snapshot semantics: the slice map is an immutable std::shared_ptr-held
 // value, replaced copy-on-write under a writer mutex and read with a single
@@ -34,7 +43,8 @@
 //
 // Answers are bit-identical to what the underlying RegionAtlas / classifier
 // would produce directly, from every entry point — query(), query_batch(),
-// query_async() — (tests/serve_test.cpp pins this).
+// query_async() — and every entry point moves the per-source answer and
+// build counters alike (tests/serve_test.cpp pins both).
 #pragma once
 
 #include <atomic>
@@ -106,13 +116,10 @@ struct ServiceConfig {
   anomaly::AtlasConfig atlas;
   std::size_t cache_capacity = 1u << 16;  ///< recommendations, all shards
   std::size_t cache_shards = 16;
-  /// Workers for batch atlas builds and batch answering; 0 = hardware
+  /// Workers for batch atlas builds and slice refreshes; 0 = hardware
   /// threads. Parallel builds engage only when the machine's timing is
   /// thread-safe.
   std::size_t threads = 0;
-  /// Build missing atlas slices on demand; when false, a miss falls back to
-  /// direct classification (source kMeasured).
-  bool auto_build = true;
   /// Graceful degradation: when a slice build fails (or the breaker is open,
   /// or a deduplicated build exceeds build_deadline_s, or the async queue
   /// sheds), answer from the analytical flop-minimal ranking with
@@ -133,9 +140,10 @@ struct ServiceConfig {
   /// fallback while the build continues and publishes for later queries.
   /// 0 waits indefinitely.
   double build_deadline_s = 0.0;
-  /// With degrade_on_failure: bound on distinct queued async build buckets;
-  /// enqueues past it answer from fallback immediately instead of growing
-  /// the queue without limit. 0 = unbounded.
+  /// With degrade_on_failure: bound on distinct slices (or exact queries)
+  /// queued behind query_async; a query for a new one past it answers from
+  /// fallback immediately instead of growing the queue without limit.
+  /// 0 = unbounded.
   std::size_t max_build_queue = 0;
 };
 
@@ -158,7 +166,7 @@ struct ServiceStats {
   std::uint64_t slices_refreshed = 0;  ///< slices rebuilt by refresh_slices()
   std::uint64_t refresh_rounds = 0;    ///< refresh_slices() invocations
   std::uint64_t degraded_answers = 0;  ///< answers served with source=fallback
-  std::uint64_t builds_shed = 0;       ///< async buckets shed by the queue bound
+  std::uint64_t builds_shed = 0;       ///< async queries shed by the queue bound
   std::uint64_t breaker_opens = 0;     ///< closed/half-open -> open transitions
   std::uint64_t atlases_quarantined = 0;  ///< corrupt store files set aside
 };
@@ -193,40 +201,39 @@ class SelectionService {
   /// are serialised behind one timing mutex.
   Recommendation query(const Query& q);
 
-  /// Answer a batch, results in input order. Queries are grouped by atlas
-  /// slice, each missing slice is built exactly once (on the ThreadPool when
-  /// the machine's timing is thread-safe), and grouped queries are answered
-  /// straight from the slice snapshot — the per-query LRU is neither
-  /// consulted nor populated for them, which is what makes a warm batch
-  /// several times faster than repeated query() calls; with on-demand
-  /// building on, the payloads are identical either way, since the LRU then
-  /// only ever caches atlas answers for non-exact queries. Exact queries
-  /// take the query() path; with auto_build off (where cached measured
-  /// answers are possible) the whole batch does, preserving strict
-  /// bit-identity with sequential query() calls in every configuration.
-  /// A slice-build failure propagates to the caller (first error wins).
+  /// Answer a batch, results in input order: the query core alone. Each
+  /// missing slice is built once (on the ThreadPool when the machine's
+  /// timing is thread-safe). Non-exact queries bypass the LRU, neither
+  /// probing nor filling it, which is what makes a warm batch several times
+  /// faster than repeated query() calls; the payloads are identical either
+  /// way. Exact queries probe and fill the LRU as query() does. A
+  /// slice-build failure propagates (first error wins) unless
+  /// degrade_on_failure answers that slice from the fallback.
   std::vector<Recommendation> query_batch(std::span<const Query> batch);
   std::vector<Recommendation> query_batch(std::initializer_list<Query> batch) {
     return query_batch(std::span<const Query>(batch.begin(), batch.size()));
   }
 
-  /// Allocation-free LRU probe: when the query is already cached, fill
-  /// `out` (counted as a cache answer, exactly as query() would) and return
-  /// true; otherwise leave `out` untouched and return false, with no
-  /// side effects — the caller falls back to query()/query_async(). The
-  /// serving warm path uses this so an LRU hit never allocates.
+  /// The LRU probe, allocation-free: when the query is already cached, fill
+  /// `out` (counted as a cache answer) and return true; otherwise leave
+  /// `out` untouched and return false. query() and query_async() probe
+  /// through it; the serving warm path calls it directly so an LRU hit
+  /// never allocates.
   bool try_cached(const Query& q, Recommendation& out);
 
   /// Answer one query without blocking on atlas scans. Cache hits and
   /// already-built slices resolve immediately; anything needing a scan (or
-  /// an exact classification) is handed to a background worker through a
-  /// deduplicating build queue — N pending queries on the same slice cost
-  /// one build. Invalid queries throw synchronously; a failed build fails
-  /// the future. Destroying the service fails still-queued futures.
+  /// an exact classification) is queued, next to the queries already queued
+  /// for the same slice, for one background worker — N pending queries on
+  /// the same slice cost one build. Invalid queries throw synchronously; a
+  /// failed build fails the future. Destroying the service fails
+  /// still-queued futures.
   std::future<Recommendation> query_async(Query q);
 
-  /// Build (or load) the atlas slices the queries would need, without
-  /// producing recommendations. Returns the number of slices built.
+  /// Build the atlas slices the queries would need, without producing
+  /// recommendations: the query core without answers. Returns the number
+  /// of missing slices obtained; a build that degrades (degrade_on_failure)
+  /// is not counted.
   std::size_t warm(std::span<const Query> batch);
   std::size_t warm(std::initializer_list<Query> batch) {
     return warm(std::span<const Query>(batch.begin(), batch.size()));
@@ -266,8 +273,8 @@ class SelectionService {
   /// Current per-slice breakers (failing, half-open or open slices only).
   std::vector<BreakerSnapshot> breaker_states() const;
 
-  /// Distinct build buckets queued behind query_async (an admission-control
-  /// watermark input for the HTTP tier).
+  /// Distinct slices (and exact queries) queued behind query_async (an
+  /// admission-control watermark input for the HTTP tier).
   std::size_t async_queue_depth() const;
 
  private:
@@ -276,9 +283,7 @@ class SelectionService {
   /// In-memory slice identity: machine and scan config are fixed per
   /// service, so (family, dim, base line) is enough — and hashing it is a
   /// handful of FNV steps, where the store's canonical() string costs a
-  /// dozen snprintf calls. Strings stay at the store boundary. An exact
-  /// query's async bucket reuses this shape with dim = -1 and the full
-  /// instance as base.
+  /// dozen snprintf calls. Strings stay at the store boundary.
   struct SliceId {
     std::string family;
     int dim = 0;
@@ -297,9 +302,7 @@ class SelectionService {
     AtlasPtr atlas;
   };
   /// Immutable once published; replaced whole via copy-on-write.
-  struct Snapshot {
-    std::unordered_map<SliceId, Slice, SliceIdHash> slices;
-  };
+  using Snapshot = std::unordered_map<SliceId, Slice, SliceIdHash>;
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   struct AsyncWaiter {
@@ -309,18 +312,9 @@ class SelectionService {
     /// waiter's spans attach to the originating request's tree.
     obs::TraceContext ctx;
   };
-  /// One queued unit of background work: all waiters for one slice (or one
-  /// exact-classification bucket).
-  struct AsyncBucket {
-    store::AtlasKey key;
-    bool exact = false;
-    std::vector<AsyncWaiter> waiters;
-  };
 
   /// Resolves a family by registry name (instantiated once, cached).
   const expr::ExpressionFamily& resolve_family(const std::string& name);
-  /// Validates the query shape and resolves the family (cached per name).
-  const expr::ExpressionFamily& family_for(const Query& q);
   store::AtlasKey atlas_key(const Query& q) const;
 
   SnapshotPtr snapshot() const { return snapshot_.load(); }
@@ -335,9 +329,23 @@ class SelectionService {
   /// Scans the slice (serialised behind timing_mutex_ when the machine's
   /// timing is not thread-safe).
   AtlasPtr build_slice(const store::AtlasKey& key);
-  /// Copy-on-write insert + atomic swap; first publication of a key wins.
-  AtlasPtr publish(const store::AtlasKey& key, const SliceId& id,
-                   AtlasPtr atlas);
+  /// Copy-on-write insert + one atomic swap; the first publication of a
+  /// slice wins. Returns the number inserted.
+  std::size_t publish(std::vector<std::pair<store::AtlasKey, AtlasPtr>> fresh);
+
+  /// The query core (see the file comment). `probed`: the caller has
+  /// already probed the LRU for every query; otherwise exact queries probe
+  /// and fill it here. An empty `out` answers nothing (warm). Returns the
+  /// number of missing slices obtained.
+  std::size_t answer(std::span<const Query> batch,
+                     std::span<Recommendation> out, bool probed);
+  /// query() after a missed probe, and query_async() on a built slice: the
+  /// core on a batch of one, then the LRU fill (fallbacks are not cached).
+  Recommendation answer_one(const Query& q);
+  /// Runs fn(0..n-1) on the pool when it has more than one participant and
+  /// n > 1, under the caller's trace context; serially otherwise.
+  template <class Fn>
+  void for_each_index(std::size_t n, const Fn& fn);
 
   Recommendation classify_exact(const Query& q);
 
@@ -356,9 +364,6 @@ class SelectionService {
   /// waiting on another thread's build instead of building itself.
   void breaker_probe_release(const SliceId& id);
 
-  std::future<Recommendation> enqueue_async(SliceId bucket_id,
-                                            store::AtlasKey key, bool exact,
-                                            Query q);
   void async_worker_loop();
 
   model::MachineModel& machine_;
@@ -397,11 +402,11 @@ class SelectionService {
   mutable std::mutex breakers_mutex_;
   std::unordered_map<SliceId, Breaker, SliceIdHash> breakers_;
 
-  /// Background build queue for query_async (worker started lazily).
+  /// Background queue for query_async (worker started lazily): FIFO of
+  /// buckets, each the waiters for one slice (or one exact query).
   mutable std::mutex async_mutex_;
   std::condition_variable async_cv_;
-  std::deque<SliceId> async_order_;  // FIFO of bucket ids
-  std::unordered_map<SliceId, AsyncBucket, SliceIdHash> async_pending_;
+  std::deque<std::vector<AsyncWaiter>> async_queue_;
   std::thread async_worker_;
   bool async_stop_ = false;
 

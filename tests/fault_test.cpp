@@ -260,7 +260,13 @@ TEST(FaultServe, TotalBuildFailureDegradesEveryEntryPointToFallback) {
   auto fut = service.query_async(Query{"aatb", {700, 260, 549}, 0, false});
   EXPECT_EQ(fut.get().source, Source::kFallback);
 
+  // warm() counts only the slices it obtained: none.
+  EXPECT_EQ(service.warm({Query{"aatb", {80, 300, 768}, 1, false},
+                          Query{"aatb", {500, 514, 200}, 2, false}}),
+            0u);
+
   EXPECT_EQ(service.stats().degraded_answers, 5u);
+  EXPECT_EQ(service.stats().atlases_built, 0u);
   EXPECT_EQ(service.atlas_count(), 0u);
   EXPECT_GE(fault_injected(FaultSite::kBuildSlice), 1u);
 }

@@ -12,6 +12,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "serve/selection_service.hpp"
 #include "serve/shard_cache.hpp"
 #include "support/check.hpp"
+#include "support/fault.hpp"
 
 namespace {
 
@@ -220,23 +222,6 @@ TEST(SelectionService, SlicesAreSharedAcrossQueriesAlongTheSameLine) {
   EXPECT_EQ(service.atlas_count(), 3u);
 }
 
-TEST(SelectionService, AutoBuildOffFallsBackToMeasured) {
-  model::SimulatedMachine machine;
-  ServiceConfig cfg = scripted_config();
-  cfg.auto_build = false;
-  SelectionService service(machine, cfg);
-  const Recommendation rec =
-      service.query(Query{"aatb", {150, 260, 549}, 0, false});
-  EXPECT_EQ(rec.source, Source::kMeasured);
-  EXPECT_EQ(service.stats().atlases_built, 0u);
-
-  // Once the slice is warmed explicitly, the atlas path takes over.
-  service.warm({Query{"aatb", {150, 260, 549}, 0, false}});
-  const Recommendation via_atlas =
-      service.query(Query{"aatb", {151, 260, 549}, 0, false});
-  EXPECT_EQ(via_atlas.source, Source::kAtlas);
-}
-
 TEST(SelectionService, InvalidQueriesAreRejected) {
   model::SimulatedMachine machine;
   SelectionService service(machine, scripted_config());
@@ -264,6 +249,89 @@ TEST(SelectionService, QueryBatchMatchesSequentialQueries) {
   ASSERT_EQ(batched.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batched[i], reference_service.query(batch[i])) << i;
+  }
+}
+
+// The per-source answer counters (/metrics publishes them as
+// lamb_answers_total{source}) and the build counters must not depend on the
+// entry point that asked. One set of distinct queries — hits on built
+// slices, two queries on one unbuilt slice, one exact query — runs through
+// a query() loop, query_batch() and query_async(), each on a fresh service;
+// then again with degrade_on_failure and every slice build failing.
+TEST(SelectionService, CountersAgreeAcrossEntryPoints) {
+  const std::vector<Query> built = {Query{"aatb", {150, 260, 549}, 0, false},
+                                    Query{"aatb", {80, 300, 768}, 1, false}};
+  std::vector<Query> queries;
+  for (int d = 100; d <= 900; d += 200) {
+    queries.push_back(Query{"aatb", {d, 260, 549}, 0, false});
+    queries.push_back(Query{"aatb", {80, d, 768}, 1, false});
+  }
+  queries.push_back(Query{"aatb", {500, 514, 200}, 2, false});
+  queries.push_back(Query{"aatb", {500, 514, 700}, 2, false});
+  queries.push_back(Query{"aatb", {150, 260, 549}, 0, /*exact=*/true});
+
+  struct Run {
+    std::vector<Recommendation> answers;
+    std::uint64_t answered = 0;  // atlas_answers + cache_answers
+    std::uint64_t measured = 0;
+    std::uint64_t degraded = 0;
+    std::uint64_t built = 0;
+  };
+  const auto run = [&](int entry, bool degrade) {
+    model::SimulatedMachine machine;
+    ServiceConfig cfg = scripted_config();
+    cfg.degrade_on_failure = degrade;
+    SelectionService service(machine, cfg);
+    EXPECT_EQ(service.warm(built), built.size());
+    std::optional<support::FaultScope> fault;
+    if (degrade) {
+      fault.emplace("build.slice=always");
+    }
+    const serve::ServiceStats before = service.stats();
+    Run r;
+    if (entry == 0) {
+      for (const Query& q : queries) {
+        r.answers.push_back(service.query(q));
+      }
+    } else if (entry == 1) {
+      r.answers = service.query_batch(queries);
+    } else {
+      std::vector<std::future<Recommendation>> futures;
+      for (const Query& q : queries) {
+        futures.push_back(service.query_async(q));
+      }
+      for (auto& f : futures) {
+        r.answers.push_back(f.get());
+      }
+    }
+    const serve::ServiceStats after = service.stats();
+    r.answered = after.atlas_answers + after.cache_answers -
+                 before.atlas_answers - before.cache_answers;
+    r.measured = after.measured_queries - before.measured_queries;
+    r.degraded = after.degraded_answers - before.degraded_answers;
+    r.built = after.atlases_built - before.atlases_built;
+    return r;
+  };
+
+  for (const bool degrade : {false, true}) {
+    const Run want = run(0, degrade);
+    EXPECT_EQ(want.answered, queries.size() - 1 - (degrade ? 2 : 0));
+    EXPECT_EQ(want.measured, 1u);
+    EXPECT_EQ(want.degraded, degrade ? 2u : 0u);
+    EXPECT_EQ(want.built, degrade ? 0u : 1u);
+    for (const int entry : {1, 2}) {
+      const Run got = run(entry, degrade);
+      ASSERT_EQ(got.answers.size(), want.answers.size());
+      for (std::size_t i = 0; i < want.answers.size(); ++i) {
+        EXPECT_EQ(got.answers[i], want.answers[i]) << entry << " " << i;
+        EXPECT_EQ(got.answers[i].source, want.answers[i].source)
+            << entry << " " << i;
+      }
+      EXPECT_EQ(got.answered, want.answered) << entry << " " << degrade;
+      EXPECT_EQ(got.measured, want.measured) << entry << " " << degrade;
+      EXPECT_EQ(got.degraded, want.degraded) << entry << " " << degrade;
+      EXPECT_EQ(got.built, want.built) << entry << " " << degrade;
+    }
   }
 }
 
