@@ -405,7 +405,7 @@ int main(int argc, char** argv) {
         per_loop += support::strf(
             "%s%llu", i == 0 ? "" : ", ",
             static_cast<unsigned long long>(
-                sweep_server.loop_stats(i).requests_total.load()));
+                sweep_server.loop_stats(i).requests_total));
       }
       per_loop += "]";
       sweep_server.stop();

@@ -66,13 +66,14 @@
 //                       [--stage-breakdown]
 //           --stage-breakdown additionally attributes serving time to the
 //           pipeline stages (parse/route/lru/atlas/build/kernel) per phase,
-//           via the tracer's always-on counters tier.
+//           via the tracer's always-on counters tier (the same
+//           obs::stage_table report as profile).
 //   profile replay a trace spec in-process with FULL span sampling and
 //           print the per-stage wall-time x PMU attribution table: stage
 //           executions, total wall time and share, plus cycles,
 //           instructions, IPC and LLC miss rate per stage when the PMU is
-//           available (all hardware columns degrade to "-" when it is not
-//           — see lamb_pmu_available on /metrics).
+//           available (obs::stage_table; the hardware columns are left out
+//           when it is not — see lamb_pmu_available on /metrics).
 //             serve_cli profile [--trace=spec.toml] [--seed=1] [--warm]
 //                       [--sample=1] [--json=out.json]
 //
@@ -848,49 +849,7 @@ int cmd_profile(const support::Cli& cli, serve::SelectionService& service) {
   const sim::SimReport report =
       sim::replay_in_process(service, requests, spec, replay_cfg);
 
-  const auto stages = obs::tracer().stage_snapshots();
-  const auto pmu = obs::tracer().pmu_stage_totals();
-  double total_seconds = 0.0;
-  for (const auto& s : stages) {
-    total_seconds += s.sum_seconds;
-  }
-
-  // Per-stage wall-time x PMU attribution. Stage times overlap (build
-  // contains kernel, request contains everything HTTP-side), so the
-  // percentage column shares out the SUM of stage times, not wall time.
-  std::printf("\n%-8s %9s %11s %6s %12s %12s %6s %9s\n", "stage", "count",
-              "wall_ms", "pct", "cycles", "instrs", "ipc", "llc_miss");
-  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-    if (stages[s].count == 0) {
-      continue;
-    }
-    std::printf("%-8s %9llu %11.3f %5.1f%%",
-                std::string(obs::to_string(static_cast<obs::Stage>(s)))
-                    .c_str(),
-                static_cast<unsigned long long>(stages[s].count),
-                1e3 * stages[s].sum_seconds,
-                total_seconds > 0.0
-                    ? 100.0 * stages[s].sum_seconds / total_seconds
-                    : 0.0);
-    if (pmu[s].cycles > 0) {
-      std::printf(" %12llu %12llu %6.2f",
-                  static_cast<unsigned long long>(pmu[s].cycles),
-                  static_cast<unsigned long long>(pmu[s].instructions),
-                  static_cast<double>(pmu[s].instructions) /
-                      static_cast<double>(pmu[s].cycles));
-      if (pmu[s].llc_loads > 0) {
-        std::printf(" %8.2f%%", 100.0 *
-                                    static_cast<double>(pmu[s].llc_misses) /
-                                    static_cast<double>(pmu[s].llc_loads));
-      } else {
-        std::printf(" %9s", "-");
-      }
-    } else {
-      std::printf(" %12s %12s %6s %9s", "-", "-", "-", "-");
-    }
-    std::printf("\n");
-  }
-
+  std::printf("\n%s", obs::stage_table(obs::stage_totals()).c_str());
   std::printf("\n%s", report.to_string().c_str());
   print_stats(service);
 

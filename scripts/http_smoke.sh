@@ -49,17 +49,22 @@ CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 [[ "$CODE" == 400 ]]
 
 METRICS="$(curl -sf "$BASE/metrics")"
-echo "$METRICS" | grep -q 'lamb_http_requests_total'
-echo "$METRICS" | grep -q 'lamb_selection_answers_total{source="atlas"}'
-echo "$METRICS" | grep -q 'lamb_http_request_duration_seconds_bucket'
-echo "$METRICS" | grep -q 'lamb_http_connections_active'
-echo "$METRICS" | grep -q 'lamb_stage_seconds_bucket{stage="route"'
+# Here-strings, not `echo | grep -q`: under pipefail a grep that exits at
+# an early match can SIGPIPE the echo and fail the smoke (exit 141).
+grep -q 'lamb_http_requests_total' <<< "$METRICS"
+grep -q 'lamb_selection_answers_total{source="atlas"}' <<< "$METRICS"
+grep -q 'lamb_http_request_duration_seconds_bucket' <<< "$METRICS"
+grep -q 'lamb_http_connections_active' <<< "$METRICS"
+grep -q 'lamb_stage_seconds_bucket{stage="route"' <<< "$METRICS"
+# The first query was cold: the routes, query_async and its worker each
+# probed the LRU, and the service counts it as exactly one miss.
+grep -qx 'lamb_selection_cache_misses_total 1' <<< "$METRICS"
 # Multi-reactor series: the loop-count gauge matches --loops, and one
 # lamb_net_loop_* series exists per loop (cardinality is re-checked by
 # metrics_lint below).
-echo "$METRICS" | grep -q "lamb_net_loops $LOOPS"
+grep -q "lamb_net_loops $LOOPS" <<< "$METRICS"
 for ((i = 0; i < LOOPS; i++)); do
-  echo "$METRICS" | grep -q "lamb_net_loop_requests_total{loop=\"$i\"}"
+  grep -q "lamb_net_loop_requests_total{loop=\"$i\"}" <<< "$METRICS"
 done
 
 # Exposition lint: HELP/TYPE before every family, no duplicate series, and

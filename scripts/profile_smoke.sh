@@ -2,9 +2,9 @@
 # Smoke both halves of the PMU degradation contract (src/obs/pmu.hpp):
 #
 #   1. `serve_cli profile` runs to completion and prints the per-stage
-#      attribution table — with live hardware columns where the runner
-#      grants perf_event access, degraded to "-" where it does not — and
-#      keeps working under LAMB_PMU=off.
+#      attribution table (obs::stage_table) — with hardware columns where
+#      the runner grants perf_event access, without them where it does
+#      not — and keeps working under LAMB_PMU=off.
 #   2. A LAMB_PMU=off server answers queries BYTE-IDENTICALLY to a default
 #      server (counting must never change results), and its /metrics
 #      scrape is lint-clean with `lamb_pmu_available 0` and no other

@@ -42,12 +42,11 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-void count_status(HttpStats& stats, int status) {
-  auto& counter = status < 300 && status >= 200 ? stats.responses_2xx
-                  : status >= 500               ? stats.responses_5xx
-                  : status >= 400               ? stats.responses_4xx
-                                                : stats.responses_other;
-  counter.fetch_add(1, std::memory_order_relaxed);
+void count_status(HttpStatsSnapshot& stats, int status) {
+  support::count(status < 300 && status >= 200 ? stats.responses_2xx
+                 : status >= 500               ? stats.responses_5xx
+                 : status >= 400               ? stats.responses_4xx
+                                               : stats.responses_other);
 }
 
 }  // namespace
@@ -420,6 +419,13 @@ void Reactor::wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
+HttpStatsSnapshot Reactor::stats() const {
+  HttpStatsSnapshot s =
+      support::load_relaxed<HttpStatsSnapshot>(kHttpMetrics, counters_);
+  s.request_latency = latency_.snapshot();
+  return s;
+}
+
 void Reactor::post_task(std::function<void()> fn) {
   hub_->post_task(std::move(fn));
 }
@@ -459,7 +465,7 @@ void Reactor::close_connection(std::uint64_t id) {
   }
   ::close(it->second->fd);  // epoll deregisters the fd automatically
   connections_.erase(it);
-  stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
+  support::count(counters_.connections_active, -1);
   if (listener_muted_ && listen_fd_ >= 0) {
     // A descriptor just freed: re-arm the accept path muted under EMFILE.
     if (reserve_fd_ < 0) {
@@ -493,8 +499,7 @@ void Reactor::accept_new() {
           doomed = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
           if (doomed >= 0) {
-            stats_.connections_rejected.fetch_add(1,
-                                                  std::memory_order_relaxed);
+            support::count(counters_.connections_rejected);
             ::close(doomed);
           }
           reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
@@ -518,7 +523,7 @@ void Reactor::accept_new() {
       // Injected accept failure: the connection is dropped as if the peer
       // reset it between accept and adoption. Clients with connect retries
       // (net::Client) absorb this; the counter surfaces it on /metrics.
-      stats_.accept_faults.fetch_add(1, std::memory_order_relaxed);
+      support::count(counters_.accept_faults);
       ::close(fd);
       continue;
     }
@@ -537,7 +542,7 @@ void Reactor::accept_new() {
 
 void Reactor::adopt_connection(int fd) {
   if (connections_.size() >= max_connections_) {
-    stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.connections_rejected);
     ::close(fd);
     return;
   }
@@ -561,18 +566,18 @@ void Reactor::adopt_connection(int fd) {
     return;
   }
   conn->armed_events = EPOLLIN;
-  stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-  stats_.connections_active.fetch_add(1, std::memory_order_relaxed);
+  support::count(counters_.connections_accepted);
+  support::count(counters_.connections_active);
   connections_.emplace(conn->id, std::move(conn));
 }
 
 void Reactor::queue_error_response(Connection& conn, int status,
                                    std::string body) {
-  stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+  support::count(counters_.parse_errors);
   // Through the regular ticket machinery so the error response stays
   // ordered behind earlier pipelined requests still being handled.
   const Responder responder(acquire_ticket(conn.id, conn.next_seq++, false));
-  stats_.requests_in_flight.fetch_add(1, std::memory_order_relaxed);
+  support::count(counters_.requests_in_flight);
   ++conn.inflight;
   Response response = text_response(status, std::move(body));
   response.close = true;
@@ -594,12 +599,12 @@ bool Reactor::try_complete_inline(ResponderTicket* t, int status,
   append_response(conn.out, status, content_type, body, persist);
   ++conn.next_to_send;
   --conn.inflight;
-  count_status(stats_, status);
-  stats_.request_latency.record(
+  count_status(counters_, status);
+  latency_.record(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t->start)
           .count());
-  stats_.requests_in_flight.fetch_sub(1, std::memory_order_relaxed);
+  support::count(counters_.requests_in_flight, -1);
   if (!persist) {
     conn.close_after_flush = true;
     conn.read_closed = true;
@@ -621,7 +626,7 @@ void Reactor::dispatch_parsed(Connection& conn) {
   while (!conn.read_closed && !conn.paused &&
          conn.parser.state() == RequestParser::State::kComplete) {
     const Request& request = conn.parser.request();
-    stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.requests_total);
     const Responder responder(
         acquire_ticket(conn.id, conn.next_seq++, request.keep_alive));
     ResponderTicket* ticket = responder.ticket_;
@@ -640,7 +645,7 @@ void Reactor::dispatch_parsed(Connection& conn) {
       // Further pipelined requests in this buffer "arrived" now.
       conn.read_ns = t_dispatch;
     }
-    stats_.requests_in_flight.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.requests_in_flight);
     ++conn.inflight;
     if (!request.keep_alive) {
       // Nothing after this request will be answered; stop parsing.
@@ -703,7 +708,7 @@ bool Reactor::should_shed(const Connection& conn) const {
     return false;
   }
   if (max_in_flight_ > 0 &&
-      stats_.requests_in_flight.load(std::memory_order_relaxed) >=
+      support::load_relaxed(counters_.requests_in_flight) >=
           max_in_flight_) {
     return true;
   }
@@ -719,8 +724,8 @@ void Reactor::on_readable(Connection& conn) {
     // hook fired), so the arriving bytes are never read — the prebuilt 503
     // goes out and the connection closes. No parsing, no allocation, no
     // dispatch; the cost of an overload request is one append + one write.
-    stats_.requests_shed.fetch_add(1, std::memory_order_relaxed);
-    count_status(stats_, 503);
+    support::count(counters_.requests_shed);
+    count_status(counters_, 503);
     conn.out.append(shed_response_);
     conn.read_closed = true;
     conn.close_after_flush = true;
@@ -732,8 +737,7 @@ void Reactor::on_readable(Connection& conn) {
   for (;;) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
-      stats_.bytes_read.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
+      support::count(counters_.bytes_read, static_cast<std::uint64_t>(n));
       if (idle_timeout_ns_ > 0) {
         conn.last_activity_ns = steady_ns();
       }
@@ -774,7 +778,7 @@ bool Reactor::write_some(Connection& conn) {
     // Injected write failure, shaped like ECONNRESET mid-response: the
     // connection dies exactly as if the peer vanished, exercising the same
     // teardown path (parked completions dropped with it).
-    stats_.write_faults.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.write_faults);
     close_connection(conn.id);
     return false;
   }
@@ -784,8 +788,7 @@ bool Reactor::write_some(Connection& conn) {
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_pos,
                              conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
     if (n > 0) {
-      stats_.bytes_written.fetch_add(static_cast<std::uint64_t>(n),
-                                     std::memory_order_relaxed);
+      support::count(counters_.bytes_written, static_cast<std::uint64_t>(n));
       conn.out_pos += static_cast<std::size_t>(n);
       if (idle_timeout_ns_ > 0) {
         conn.last_activity_ns = steady_ns();
@@ -850,8 +853,8 @@ void Reactor::flush_ready(Connection& conn) {
     append_response(conn.out, completion.response, completion.keep_alive);
     ++conn.next_to_send;
     --conn.inflight;
-    count_status(stats_, completion.response.status);
-    stats_.request_latency.record(
+    count_status(counters_, completion.response.status);
+    latency_.record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       completion.start)
             .count());
@@ -911,7 +914,7 @@ void Reactor::drain_hub() {
     // child span (parse/route on this thread, serving stages before the
     // handler posted) ended earlier on the shared timeline.
     obs::tracer().end_request(completion.trace);
-    stats_.requests_in_flight.fetch_sub(1, std::memory_order_relaxed);
+    support::count(counters_.requests_in_flight, -1);
     const auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) {
       continue;  // connection died before its response was ready
@@ -976,7 +979,7 @@ void Reactor::run() {
       t_current_reactor = nullptr;
       throw_errno("epoll_wait");
     }
-    stats_.epoll_wakeups.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.epoll_wakeups);
     if (n == 0 && listener_muted_ && listen_fd_ >= 0) {
       if (reserve_fd_ < 0) {
         reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
@@ -1047,7 +1050,7 @@ void Reactor::reap_idle(std::uint64_t now_ns) {
     }
   }
   for (const std::uint64_t id : idle) {
-    stats_.idle_reaped.fetch_add(1, std::memory_order_relaxed);
+    support::count(counters_.idle_reaped);
     close_connection(id);
   }
 }

@@ -4,7 +4,7 @@
 // A Reactor owns, exclusively and for their whole life, the connections it
 // accepted (or adopted from the round-robin acceptor): the epoll instance,
 // the eventfd wake channel, the per-connection parser/writer state and the
-// per-loop HttpStats all belong to the loop thread, so the request hot
+// per-loop counter set all belong to the loop thread, so the request hot
 // path is single-threaded and lock-free. The only cross-thread surface is
 // the Hub — a mutex-guarded mailbox of completed responses, adopted fds,
 // posted tasks and recycled tickets, drained once per wakeup.
@@ -63,7 +63,8 @@ class Reactor {
   void wake();
 
   std::size_t index() const { return index_; }
-  const HttpStats& stats() const { return stats_; }
+  /// This loop's counters, loaded field by field (any thread).
+  HttpStatsSnapshot stats() const;
 
   /// Queue `fn` for execution on the loop thread (between events).
   void post_task(std::function<void()> fn);
@@ -144,7 +145,10 @@ class Reactor {
   std::string shed_response_;
   std::uint64_t idle_timeout_ns_ = 0;  ///< 0 disables the idle reaper
   std::uint64_t last_idle_sweep_ns_ = 0;
-  HttpStats stats_;
+  /// The live counter set (support::count from the loop thread; any
+  /// thread may read it through stats()) and the request-latency histogram.
+  mutable HttpStatsSnapshot counters_;
+  support::LatencyHistogram latency_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

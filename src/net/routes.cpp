@@ -331,7 +331,7 @@ void SelectionRoutes::handle_query(const Request& request,
       // The build missed the request deadline. It keeps running and will
       // publish its slice for the next asker; this request gets a 504 now
       // instead of holding the connection open indefinitely.
-      deadline_hits_.fetch_add(1, std::memory_order_relaxed);
+      support::count(deadline_hits_);
       responder.send(text_response(
           504, support::strf("deadline exceeded (%.0f ms): slice still "
                              "building, retry\n",
@@ -432,393 +432,117 @@ Response SelectionRoutes::debug_sample_rate_response(const Request& request) {
 }
 
 Response SelectionRoutes::metrics_response() const {
-  const serve::ServiceStats s = service_.stats();
-  // The exposition contract (every family announces # HELP and # TYPE
-  // before its first series; counters integral, gauges fractional) lives
-  // in support::MetricsWriter and is pinned by scripts/metrics_lint.sh.
+  // A walk over the counter-set tables (k*Metrics, where each series is
+  // defined) plus the derived gauges and the families labelled by reason,
+  // slice, site or stage.
   support::MetricsWriter w(8192);
+  const auto gauge = [&w](const char* name, const char* help, double value) {
+    w.gauge(w.family(name, "gauge", help), value);
+  };
+  const auto stage_name = [](std::size_t i) {
+    return obs::to_string(static_cast<obs::Stage>(i));
+  };
 
-  w.family("lamb_selection_answers_total", "counter",
-           "Answers by source.");
-  w.counter("lamb_selection_answers_total", "{source=\"cache\"}",
-            s.cache_answers);
-  w.counter("lamb_selection_answers_total", "{source=\"atlas\"}",
-            s.atlas_answers);
-  w.counter("lamb_selection_answers_total", "{source=\"measured\"}",
-            s.measured_queries);
-  w.counter("lamb_selection_answers_total", "{source=\"fallback\"}",
-            s.degraded_answers);
-
-  w.family("lamb_selection_cache_hits_total", "counter",
-           "Recommendation-cache hits.");
-  w.counter("lamb_selection_cache_hits_total", s.cache_hits);
-  w.family("lamb_selection_cache_misses_total", "counter",
-           "Recommendation-cache misses.");
-  w.counter("lamb_selection_cache_misses_total", s.cache_misses);
-  w.family("lamb_selection_cache_hit_ratio", "gauge",
-           "Cache hits over lookups since start.");
+  const serve::ServiceStats s = service_.stats();
+  w.rows(serve::kServiceMetrics, s);
   const std::uint64_t lookups = s.cache_hits + s.cache_misses;
-  w.gauge("lamb_selection_cache_hit_ratio",
-          lookups == 0 ? 0.0
-                       : static_cast<double>(s.cache_hits) /
-                             static_cast<double>(lookups));
-
-  w.family("lamb_selection_atlases_built_total", "counter",
-           "Region atlases built.");
-  w.counter("lamb_selection_atlases_built_total", s.atlases_built);
-  w.family("lamb_selection_atlases_loaded_total", "counter",
-           "Region atlases loaded from disk.");
-  w.counter("lamb_selection_atlases_loaded_total", s.atlases_loaded);
-  w.family("lamb_selection_atlases_skipped_total", "counter",
-           "Atlas builds skipped (already resident).");
-  w.counter("lamb_selection_atlases_skipped_total", s.atlases_skipped);
-  w.family("lamb_selection_atlases_quarantined_total", "counter",
-           "Corrupt atlas files renamed aside (*.corrupt) at warm-up.");
-  w.counter("lamb_selection_atlases_quarantined_total",
-            s.atlases_quarantined);
-  w.family("lamb_selection_atlas_samples_total", "counter",
-           "Measurements taken while building atlases.");
-  w.counter("lamb_selection_atlas_samples_total",
-            static_cast<std::uint64_t>(s.atlas_samples < 0
-                                           ? 0
-                                           : s.atlas_samples));
-  w.family("lamb_selection_batch_calls_total", "counter",
-           "query_batch() calls.");
-  w.counter("lamb_selection_batch_calls_total", s.batch_calls);
-  w.family("lamb_selection_batch_queries_total", "counter",
-           "Queries carried by batch calls.");
-  w.counter("lamb_selection_batch_queries_total", s.batch_queries);
-  w.family("lamb_selection_async_calls_total", "counter",
-           "query_async() calls.");
-  w.counter("lamb_selection_async_calls_total", s.async_calls);
-
-  w.family("lamb_selection_refresh_rounds_total", "counter",
-           "Atlas refresh rounds.");
-  w.counter("lamb_selection_refresh_rounds_total", s.refresh_rounds);
-  w.family("lamb_selection_slices_refreshed_total", "counter",
-           "Slices rebuilt by refresh rounds.");
-  w.counter("lamb_selection_slices_refreshed_total", s.slices_refreshed);
-
-  // These three are gauges (they go up AND down) and are emitted as such —
-  // they used to ride the counter helper, which a typed writer forbids.
-  w.family("lamb_selection_atlas_count", "gauge",
-           "Resident region atlases.");
-  w.gauge("lamb_selection_atlas_count",
-          static_cast<double>(service_.atlas_count()));
-  w.family("lamb_selection_cache_size", "gauge",
-           "Entries in the recommendation cache.");
-  w.gauge("lamb_selection_cache_size",
-          static_cast<double>(service_.cache_size()));
-
-  // Robustness families: how much of the load is riding the degraded path,
-  // what was shed, which slices the circuit breaker is holding open, and
-  // what the fault registry has actually injected. All present even at
-  // zero, so dashboards and the chaos smoke can assert on them by name.
-  w.family("lamb_answers_degraded_total", "counter",
-           "Answers served from the flop-minimal fallback instead of an "
-           "atlas (build failed, breaker open, queue shed or deadline).");
-  w.counter("lamb_answers_degraded_total", s.degraded_answers);
-
-  std::uint64_t admission_shed = 0;
-  if (server_ != nullptr) {
-    for (std::size_t i = 0; i < server_->loops(); ++i) {
-      admission_shed += server_->loop_stats(i).requests_shed.load(
-          std::memory_order_relaxed);
-    }
+  gauge("lamb_selection_cache_hit_ratio",
+        "Cache hits over lookups since start.",
+        lookups == 0 ? 0.0
+                     : static_cast<double>(s.cache_hits) /
+                           static_cast<double>(lookups));
+  gauge("lamb_selection_atlas_count", "Resident region atlases.",
+        static_cast<double>(service_.atlas_count()));
+  gauge("lamb_selection_cache_size", "Entries in the recommendation cache.",
+        static_cast<double>(service_.cache_size()));
+  std::vector<HttpStatsSnapshot> loops;
+  HttpStatsSnapshot h;
+  for (std::size_t i = 0; server_ != nullptr && i < server_->loops(); ++i) {
+    loops.push_back(server_->loop_stats(i));
+    h.merge(loops.back());
   }
-  w.family("lamb_shed_total", "counter",
-           "Requests shed instead of served, by reason: admission = 503 "
-           "before parse, build_queue = fallback instead of a queued "
-           "build, deadline = 504 past the query deadline.");
-  w.counter("lamb_shed_total", "{reason=\"admission\"}", admission_shed);
-  w.counter("lamb_shed_total", "{reason=\"build_queue\"}", s.builds_shed);
-  w.counter("lamb_shed_total", "{reason=\"deadline\"}",
-            deadline_hits_.load(std::memory_order_relaxed));
-
-  w.family("lamb_breaker_opens_total", "counter",
-           "Circuit-breaker open transitions across all slices.");
-  w.counter("lamb_breaker_opens_total", s.breaker_opens);
+  static constexpr const char* kShedReasons[] = {"admission", "build_queue",
+                                                 "deadline"};
+  const std::uint64_t shed[] = {h.requests_shed, s.builds_shed,
+                                support::load_relaxed(deadline_hits_)};
+  w.labelled("lamb_shed_total", "counter",
+             "Requests shed instead of served, by reason: admission = 503 "
+             "before parse, build_queue = fallback instead of a queued "
+             "build, deadline = 504 past the query deadline.",
+             "reason", 3, [](std::size_t i) { return kShedReasons[i]; },
+             [&](std::size_t i) { return shed[i]; });
   const auto breakers = service_.breaker_states();
   if (!breakers.empty()) {
-    w.family("lamb_breaker_state", "gauge",
-             "Per-slice breaker state: 1 open, 0.5 half-open probe, 0 "
-             "failing but closed. Healthy slices carry no series.");
-    for (const auto& b : breakers) {
-      w.gauge("lamb_breaker_state",
-              support::strf("{slice=\"%s\"}", b.slice.c_str()).c_str(),
-              b.state);
-    }
+    w.labelled("lamb_breaker_state", "gauge",
+               "Per-slice breaker state: 1 open, 0.5 half-open probe, 0 "
+               "failing but closed. Healthy slices carry no series.",
+               "slice", breakers.size(),
+               [&](std::size_t i) { return breakers[i].slice; },
+               [&](std::size_t i) { return breakers[i].state; });
   }
-
-  w.family("lamb_fault_injected_total", "counter",
-           "Faults fired by the LAMB_FAULT registry, by site (all zero "
-           "when injection is disarmed).");
-  for (std::size_t i = 0; i < support::kFaultSiteCount; ++i) {
-    const auto site = static_cast<support::FaultSite>(i);
-    w.counter("lamb_fault_injected_total",
-              support::strf("{site=\"%s\"}",
-                            std::string(support::fault_site_name(site))
-                                .c_str())
-                  .c_str(),
-              support::fault_injected(site));
-  }
-
-  w.family("lamb_uptime_seconds", "gauge",
-           "Seconds since the serving process started.");
-  w.gauge("lamb_uptime_seconds",
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count());
-  w.family("lamb_build_info", "gauge",
-           "Constant 1, labeled with version and kernel tier.");
-  w.gauge("lamb_build_info",
+  const auto site = [](std::size_t i) {
+    return static_cast<support::FaultSite>(i);
+  };
+  w.labelled("lamb_fault_injected_total", "counter",
+             "Faults fired by the LAMB_FAULT registry, by site (all zero "
+             "when injection is disarmed).",
+             "site", support::kFaultSiteCount,
+             [&](std::size_t i) { return support::fault_site_name(site(i)); },
+             [&](std::size_t i) { return support::fault_injected(site(i)); });
+  const std::chrono::duration<double> uptime =
+      std::chrono::steady_clock::now() - start_;
+  gauge("lamb_uptime_seconds", "Seconds since the serving process started.",
+        uptime.count());
+  w.gauge(w.family("lamb_build_info", "gauge",
+                   "Constant 1, labeled with version and kernel tier."),
           support::strf("{version=\"%s\",kernel_tier=\"%s\"}",
-                        LAMB_GIT_DESCRIBE, blas::active_microkernel().name)
-              .c_str(),
+                        LAMB_GIT_DESCRIBE, blas::active_microkernel().name),
           1.0);
 
   if (drift_ != nullptr) {
-    const serve::DriftStats d = drift_->stats();
-    w.family("lamb_drift_checks_total", "counter",
-             "Drift probe rounds run.");
-    w.counter("lamb_drift_checks_total", d.checks);
-    w.family("lamb_drift_probe_measurements_total", "counter",
-             "Individual drift probe measurements.");
-    w.counter("lamb_drift_probe_measurements_total", d.probe_measurements);
-    w.family("lamb_drift_detected_total", "counter",
-             "Drift detections.");
-    w.counter("lamb_drift_detected_total", d.drift_detected);
-    w.family("lamb_drift_refreshes_total", "counter",
-             "Refresh rounds triggered by drift.");
-    w.counter("lamb_drift_refreshes_total", d.refresh_rounds);
-    w.family("lamb_drift_slices_refreshed_total", "counter",
-             "Slices rebuilt after drift.");
-    w.counter("lamb_drift_slices_refreshed_total", d.slices_refreshed);
-    w.family("lamb_drift_check_failures_total", "counter",
-             "Drift check rounds that threw; the monitor survives and "
-             "backs off its interval until probes succeed again.");
-    w.counter("lamb_drift_check_failures_total", d.check_failures);
-    w.family("lamb_drift_probe_cycles_total", "counter",
-             "CPU cycles spent inside drift probe measurements "
-             "(PMU-attributed; 0 when counters are unavailable).");
-    w.counter("lamb_drift_probe_cycles_total", d.probe_cycles);
-    w.family("lamb_drift_probe_instructions_total", "counter",
-             "Instructions retired inside drift probe measurements.");
-    w.counter("lamb_drift_probe_instructions_total", d.probe_instructions);
-    w.family("lamb_drift_refresh_cycles_total", "counter",
-             "CPU cycles spent on drift-triggered refresh rounds.");
-    w.counter("lamb_drift_refresh_cycles_total", d.refresh_cycles);
-    w.family("lamb_drift_score", "gauge",
-             "Latest drift score.");
-    w.gauge("lamb_drift_score", d.last_score);
-    w.family("lamb_drift_last_refresh_age_seconds", "gauge",
-             "Seconds since the last drift refresh.");
-    w.gauge("lamb_drift_last_refresh_age_seconds",
-            d.last_refresh_age_seconds);
+    w.rows(serve::kDriftMetrics, drift_->stats());
   }
-
   if (server_ != nullptr) {
-    // Whole-server aggregate: every reactor's counters merged into one
-    // snapshot (histograms merge exactly — bucket-wise integer adds).
-    const HttpStatsSnapshot h = server_->stats();
-    w.family("lamb_http_connections_accepted_total", "counter",
-             "Connections accepted.");
-    w.counter("lamb_http_connections_accepted_total",
-              h.connections_accepted);
-    w.family("lamb_http_connections_rejected_total", "counter",
-             "Connections refused (over max_connections or fd exhaustion).");
-    w.counter("lamb_http_connections_rejected_total",
-              h.connections_rejected);
-    w.family("lamb_http_requests_total", "counter",
-             "HTTP requests dispatched.");
-    w.counter("lamb_http_requests_total", h.requests_total);
-    w.family("lamb_http_responses_total", "counter",
-             "HTTP responses by status class.");
-    w.counter("lamb_http_responses_total", "{class=\"2xx\"}",
-              h.responses_2xx);
-    w.counter("lamb_http_responses_total", "{class=\"4xx\"}",
-              h.responses_4xx);
-    w.counter("lamb_http_responses_total", "{class=\"5xx\"}",
-              h.responses_5xx);
-    w.counter("lamb_http_responses_total", "{class=\"other\"}",
-              h.responses_other);
-    w.family("lamb_http_parse_errors_total", "counter",
-             "Malformed requests answered 4xx.");
-    w.counter("lamb_http_parse_errors_total", h.parse_errors);
-    w.family("lamb_http_requests_shed_total", "counter",
-             "Requests answered the prebuilt admission 503 before parse.");
-    w.counter("lamb_http_requests_shed_total", h.requests_shed);
-    w.family("lamb_http_idle_reaped_total", "counter",
-             "Connections closed by the idle reaper.");
-    w.counter("lamb_http_idle_reaped_total", h.idle_reaped);
-    w.family("lamb_http_accept_faults_total", "counter",
-             "Accepted connections dropped by net.accept fault injection.");
-    w.counter("lamb_http_accept_faults_total", h.accept_faults);
-    w.family("lamb_http_write_faults_total", "counter",
-             "Connections torn down by net.write fault injection.");
-    w.counter("lamb_http_write_faults_total", h.write_faults);
-    w.family("lamb_http_bytes_read_total", "counter",
-             "Bytes read from clients.");
-    w.counter("lamb_http_bytes_read_total", h.bytes_read);
-    w.family("lamb_http_bytes_written_total", "counter",
-             "Bytes written to clients.");
-    w.counter("lamb_http_bytes_written_total", h.bytes_written);
-
-    w.family("lamb_http_connections_active", "gauge",
-             "Currently open client connections.");
-    w.gauge("lamb_http_connections_active",
-            static_cast<double>(h.connections_active));
-    w.family("lamb_http_requests_in_flight", "gauge",
-             "Requests dispatched to a handler, response not yet queued.");
-    w.gauge("lamb_http_requests_in_flight",
-            static_cast<double>(h.requests_in_flight));
-
-    w.family("lamb_http_request_duration_seconds", "histogram",
-             "Dispatch-to-response-queued seconds.");
-    w.histogram("lamb_http_request_duration_seconds", "",
-                h.request_latency);
-
-    // Per-reactor series, one per event loop. lamb_net_loops is the
-    // cardinality anchor: scripts/metrics_lint.sh asserts every
-    // lamb_net_loop_* family carries exactly this many loop="i" series.
-    const std::size_t loops = server_->loops();
-    w.family("lamb_net_loops", "gauge",
-             "Configured event loops (reactors).");
-    w.gauge("lamb_net_loops", static_cast<double>(loops));
-    const auto loop_label = [](std::size_t i) {
-      return support::strf("{loop=\"%zu\"}", i);
-    };
-    w.family("lamb_net_loop_connections", "gauge",
-             "Open connections owned by each event loop.");
-    for (std::size_t i = 0; i < loops; ++i) {
-      w.gauge("lamb_net_loop_connections", loop_label(i).c_str(),
-              static_cast<double>(
-                  server_->loop_stats(i).connections_active.load(
-                      std::memory_order_relaxed)));
-    }
-    w.family("lamb_net_loop_requests_total", "counter",
-             "Requests dispatched by each event loop.");
-    for (std::size_t i = 0; i < loops; ++i) {
-      w.counter("lamb_net_loop_requests_total", loop_label(i).c_str(),
-                server_->loop_stats(i).requests_total.load(
-                    std::memory_order_relaxed));
-    }
-    w.family("lamb_net_loop_epoll_wakeups_total", "counter",
-             "epoll_wait returns on each event loop.");
-    for (std::size_t i = 0; i < loops; ++i) {
-      w.counter("lamb_net_loop_epoll_wakeups_total", loop_label(i).c_str(),
-                server_->loop_stats(i).epoll_wakeups.load(
-                    std::memory_order_relaxed));
-    }
+    w.rows(kHttpMetrics, h);
+    w.histogram(w.family("lamb_http_request_duration_seconds", "histogram",
+                         "Dispatch-to-response-queued seconds."),
+                "", h.request_latency);
+    gauge("lamb_net_loops", "Configured event loops (reactors).",
+          static_cast<double>(loops.size()));
+    w.rows(kLoopMetrics, loops, "loop",
+           [](std::size_t i) { return std::to_string(i); });
   }
 
-  {
-    obs::Tracer& tr = obs::tracer();
-    const auto stages = tr.stage_snapshots();
-    w.family("lamb_stage_seconds", "histogram",
+  obs::Tracer& tr = obs::tracer();
+  const auto stages = tr.stage_snapshots();
+  w.labelled("lamb_stage_seconds", "histogram",
              "Per-stage serving latency, seconds (always-on tier; empty "
-             "until tracing is enabled).");
-    for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-      const std::string label =
-          "stage=\"" +
-          std::string(obs::to_string(static_cast<obs::Stage>(i))) + "\"";
-      w.histogram("lamb_stage_seconds", label, stages[i]);
-    }
-
-    const obs::TracerCounters tc = tr.counters();
-    w.family("lamb_trace_requests_total", "counter", "Traces begun.");
-    w.counter("lamb_trace_requests_total", tc.requests);
-    w.family("lamb_trace_sampled_total", "counter",
-             "Traces with detailed span capture.");
-    w.counter("lamb_trace_sampled_total", tc.sampled);
-    w.family("lamb_trace_spans_total", "counter",
-             "Spans pushed into the per-thread rings (pre-overwrite).");
-    w.counter("lamb_trace_spans_total", tc.spans);
-    w.family("lamb_trace_slow_total", "counter", "Slow-log admissions.");
-    w.counter("lamb_trace_slow_total", tc.slow);
-    w.family("lamb_trace_enabled", "gauge", "1 when tracing is enabled.");
-    w.gauge("lamb_trace_enabled", tr.enabled() ? 1.0 : 0.0);
-    w.family("lamb_trace_sample_every", "gauge",
-             "Detailed capture rate: 1-in-N requests (0 = off).");
-    w.gauge("lamb_trace_sample_every",
-            static_cast<double>(tr.sample_every()));
-
-    // PMU families. The availability gauge ALWAYS appears; every other
-    // lamb_pmu_* family appears only when counters are live — the lint
-    // pins that consistency, and profile_smoke.sh drives the LAMB_PMU=off
-    // scrape against it.
-    const bool pmu = obs::pmu_available();
-    w.family("lamb_pmu_available", "gauge",
-             "1 when hardware performance counters are live (perf_event); "
-             "0 when disabled or unavailable.");
-    w.gauge("lamb_pmu_available", pmu ? 1.0 : 0.0);
-    if (pmu) {
-      const auto totals = tr.pmu_stage_totals();
-      const auto ipc = tr.pmu_ipc_snapshots();
-      const auto stage_label = [](std::size_t i) {
-        return "{stage=\"" +
-               std::string(obs::to_string(static_cast<obs::Stage>(i))) +
-               "\"}";
-      };
-      w.family("lamb_pmu_samples_total", "counter",
-               "Sampled spans with PMU attribution, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_samples_total", stage_label(i).c_str(),
-                  totals[i].samples);
-      }
-      w.family("lamb_pmu_cycles_total", "counter",
-               "CPU cycles attributed to sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_cycles_total", stage_label(i).c_str(),
-                  totals[i].cycles);
-      }
-      w.family("lamb_pmu_instructions_total", "counter",
-               "Instructions retired in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_instructions_total", stage_label(i).c_str(),
-                  totals[i].instructions);
-      }
-      w.family("lamb_pmu_llc_loads_total", "counter",
-               "Last-level-cache read accesses in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_llc_loads_total", stage_label(i).c_str(),
-                  totals[i].llc_loads);
-      }
-      w.family("lamb_pmu_llc_misses_total", "counter",
-               "Last-level-cache read misses in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_llc_misses_total", stage_label(i).c_str(),
-                  totals[i].llc_misses);
-      }
-      w.family("lamb_pmu_stalled_backend_total", "counter",
-               "Backend-stalled cycles in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_stalled_backend_total", stage_label(i).c_str(),
-                  totals[i].stalled_backend);
-      }
-      w.family("lamb_pmu_flops_total", "counter",
-               "Declared floating-point operations of PMU-attributed "
-               "spans, by stage (2mnk per gemm).");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_flops_total", stage_label(i).c_str(),
-                  totals[i].flops);
-      }
-      w.family("lamb_pmu_ipc", "histogram",
+             "until tracing is enabled).",
+             "stage", obs::kStageCount, stage_name,
+             [&](std::size_t i) { return stages[i]; });
+  w.rows(obs::kTracerMetrics, tr.counters());
+  gauge("lamb_trace_enabled", "1 when tracing is enabled.",
+        tr.enabled() ? 1.0 : 0.0);
+  gauge("lamb_trace_sample_every",
+        "Detailed capture rate: 1-in-N requests (0 = off).",
+        static_cast<double>(tr.sample_every()));
+  // The availability gauge always appears; every other lamb_pmu_* family
+  // only while counters are live (the lint pins that).
+  const bool pmu = obs::pmu_available();
+  gauge("lamb_pmu_available",
+        "1 when hardware performance counters are live (perf_event); 0 when "
+        "disabled or unavailable.",
+        pmu ? 1.0 : 0.0);
+  if (pmu) {
+    w.rows(obs::kPmuMetrics, tr.pmu_stage_totals(), "stage", stage_name);
+    const auto ipc = tr.pmu_ipc_snapshots();
+    w.labelled("lamb_pmu_ipc", "histogram",
                "Distribution of per-span IPC, by stage (bucket bounds are "
-               "the shared 1-2-5 grid, read unitless).");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        const std::string label =
-            "stage=\"" +
-            std::string(obs::to_string(static_cast<obs::Stage>(i))) + "\"";
-        w.histogram("lamb_pmu_ipc", label, ipc[i]);
-      }
-    }
+               "the shared 1-2-5 grid, read unitless).",
+               "stage", obs::kStageCount, stage_name,
+               [&](std::size_t i) { return ipc[i]; });
   }
-
-  Response r;
-  r.content_type = std::string(kPrometheusType);
-  r.body = w.take();
-  return r;
+  return Response{200, std::string(kPrometheusType), w.take()};
 }
 
 Router SelectionRoutes::router() {

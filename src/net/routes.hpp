@@ -5,13 +5,16 @@
 //                     fused into a single SelectionService::query_batch()
 //                     call (the wire-level face of the 6x batch win)
 //   GET  /healthz     liveness probe ("ok")
-//   GET  /metrics     Prometheus text: ServiceStats counters, cache hit
-//                     rate, per-source answer counts, HTTP counters and
-//                     live gauges (connections, in-flight requests), the
-//                     request-latency histogram, the per-stage
-//                     lamb_stage_seconds histograms, lamb_trace_* tracer
-//                     counters, process uptime and build info, and — when
-//                     a DriftMonitor is attached — the lamb_drift_* series
+//   GET  /metrics     Prometheus text: a walk over the counter-set tables
+//                     that define every series (serve::kServiceMetrics,
+//                     kHttpMetrics and the per-loop kLoopMetrics,
+//                     serve::kDriftMetrics when a DriftMonitor is attached,
+//                     obs::kTracerMetrics, obs::kPmuMetrics while the PMU
+//                     is live — see support/metrics.hpp), plus the derived
+//                     gauges (cache hit ratio, atlas count, cache size,
+//                     uptime, build info) and the families labelled by
+//                     shed reason, breaker slice, fault site or stage
+//                     (lamb_stage_seconds, lamb_pmu_ipc histograms)
 //   GET  /debug/trace Chrome trace-event JSON of every span currently in
 //                     the per-thread rings (open in chrome://tracing or
 //                     Perfetto)
@@ -45,7 +48,6 @@
 // service's ThreadPool).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -112,14 +114,14 @@ class SelectionRoutes {
 
   /// Give /metrics the front-end counters too (call between constructing
   /// the Server and run()). Exports the merged whole-server snapshot as the
-  /// lamb_http_* families plus the per-reactor lamb_net_loop_* series (one
-  /// series per loop, labeled loop="i"). Without it only service metrics
-  /// are exported.
+  /// lamb_http_* families (kHttpMetrics) plus the per-reactor
+  /// lamb_net_loop_* series (kLoopMetrics, labeled loop="i"). Without it
+  /// only service metrics are exported.
   void attach_server(const Server* server) { server_ = server; }
 
-  /// Export a drift monitor's counters as lamb_drift_* series (same
-  /// lifecycle rule as attach_http_stats; the monitor must outlive the
-  /// routes). Without it the drift series are simply absent.
+  /// Export a drift monitor's counters as lamb_drift_* series
+  /// (kDriftMetrics; same lifecycle rule as attach_server, and the monitor
+  /// must outlive the routes). Without it the drift series are absent.
   void attach_drift(const serve::DriftMonitor* monitor) { drift_ = monitor; }
 
  private:
@@ -141,8 +143,8 @@ class SelectionRoutes {
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   /// Cold queries answered 504 because their build missed deadline_ms
-  /// (lamb_shed_total{reason="deadline"}).
-  mutable std::atomic<std::uint64_t> deadline_hits_{0};
+  /// (lamb_shed_total{reason="deadline"}); bumped with support::count.
+  mutable std::uint64_t deadline_hits_ = 0;
 
   std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;

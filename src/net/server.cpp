@@ -105,28 +105,9 @@ void Router::dispatch(const Request& request, Responder responder) const {
 
 // ------------------------------------------------------------------- stats
 
-void HttpStatsSnapshot::merge(const HttpStats& stats) {
-  const auto get = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  connections_accepted += get(stats.connections_accepted);
-  connections_rejected += get(stats.connections_rejected);
-  requests_total += get(stats.requests_total);
-  responses_2xx += get(stats.responses_2xx);
-  responses_4xx += get(stats.responses_4xx);
-  responses_5xx += get(stats.responses_5xx);
-  responses_other += get(stats.responses_other);
-  parse_errors += get(stats.parse_errors);
-  bytes_read += get(stats.bytes_read);
-  bytes_written += get(stats.bytes_written);
-  epoll_wakeups += get(stats.epoll_wakeups);
-  requests_shed += get(stats.requests_shed);
-  idle_reaped += get(stats.idle_reaped);
-  accept_faults += get(stats.accept_faults);
-  write_faults += get(stats.write_faults);
-  connections_active += get(stats.connections_active);
-  requests_in_flight += get(stats.requests_in_flight);
-  request_latency.merge(stats.request_latency.snapshot());
+void HttpStatsSnapshot::merge(const HttpStatsSnapshot& other) {
+  support::add_rows<HttpStatsSnapshot>(kHttpMetrics, *this, other);
+  request_latency.merge(other.request_latency);
 }
 
 // ------------------------------------------------------------------ server
@@ -293,7 +274,7 @@ HttpStatsSnapshot Server::stats() const {
   return merged;
 }
 
-const HttpStats& Server::loop_stats(std::size_t loop) const {
+HttpStatsSnapshot Server::loop_stats(std::size_t loop) const {
   return reactors_.at(loop)->stats();
 }
 

@@ -46,6 +46,7 @@
 
 #include "net/http.hpp"
 #include "support/histogram.hpp"
+#include "support/metrics.hpp"
 
 namespace lamb::net {
 
@@ -99,40 +100,13 @@ struct ServerConfig {
   double idle_timeout_s = 0.0;
 };
 
-/// Monotonic front-end counters for ONE reactor, all updated with relaxed
-/// atomics by the owning loop; read them live from any thread. The /metrics
-/// route renders the per-loop series from these and the aggregate from
-/// Server::stats().
-struct HttpStats {
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> connections_rejected{0};  ///< over the cap
-  std::atomic<std::uint64_t> requests_total{0};
-  std::atomic<std::uint64_t> responses_2xx{0};
-  std::atomic<std::uint64_t> responses_4xx{0};
-  std::atomic<std::uint64_t> responses_5xx{0};
-  std::atomic<std::uint64_t> responses_other{0};
-  std::atomic<std::uint64_t> parse_errors{0};
-  std::atomic<std::uint64_t> bytes_read{0};
-  std::atomic<std::uint64_t> bytes_written{0};
-  std::atomic<std::uint64_t> epoll_wakeups{0};  ///< epoll_wait returns
-  std::atomic<std::uint64_t> requests_shed{0};  ///< 503s from admission control
-  std::atomic<std::uint64_t> idle_reaped{0};    ///< connections closed idle
-  std::atomic<std::uint64_t> accept_faults{0};  ///< net.accept injections
-  std::atomic<std::uint64_t> write_faults{0};   ///< net.write injections
-  // Live gauges, not monotonic: open connections, and requests dispatched
-  // to a handler whose completion has not reached the owning loop yet.
-  std::atomic<std::uint64_t> connections_active{0};
-  std::atomic<std::uint64_t> requests_in_flight{0};
-  /// Dispatch-to-response-queued seconds per request.
-  support::LatencyHistogram request_latency;
-};
-
-/// Plain-value aggregate of one or more HttpStats, merged at scrape time.
-/// Server::stats() returns the whole-server sum; callers that used to read
-/// `stats().requests_total.load()` now read `stats().requests_total`.
+/// The front-end counter set. Each reactor keeps one live instance, bumped
+/// by its own loop with relaxed atomic adds (support::count) and readable
+/// from any thread; it is also the read view: Server::loop_stats() loads
+/// one loop's, Server::stats() sums them all.
 struct HttpStatsSnapshot {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;
+  std::uint64_t connections_rejected = 0;  ///< over the cap
   std::uint64_t requests_total = 0;
   std::uint64_t responses_2xx = 0;
   std::uint64_t responses_4xx = 0;
@@ -141,17 +115,79 @@ struct HttpStatsSnapshot {
   std::uint64_t parse_errors = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
-  std::uint64_t epoll_wakeups = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t idle_reaped = 0;
-  std::uint64_t accept_faults = 0;
-  std::uint64_t write_faults = 0;
+  std::uint64_t epoll_wakeups = 0;  ///< epoll_wait returns
+  std::uint64_t requests_shed = 0;  ///< 503s from admission control
+  std::uint64_t idle_reaped = 0;    ///< connections closed idle
+  std::uint64_t accept_faults = 0;  ///< net.accept injections
+  std::uint64_t write_faults = 0;   ///< net.write injections
+  // Live gauges, not monotonic: open connections, and requests dispatched
+  // to a handler whose completion has not reached the owning loop yet.
   std::uint64_t connections_active = 0;
   std::uint64_t requests_in_flight = 0;
+  /// Dispatch-to-response-queued seconds per request (a loop records into
+  /// its own histogram; reads fill this in).
   support::LatencyHistogram::Snapshot request_latency;
 
-  /// Accumulate one reactor's live counters into this snapshot.
-  void merge(const HttpStats& stats);
+  /// Accumulate another snapshot (another loop's) into this one.
+  void merge(const HttpStatsSnapshot& other);
+};
+
+/// Where each HttpStatsSnapshot field is exported on /metrics as a
+/// whole-server series (support/metrics.hpp); loads and merges read
+/// through it too.
+inline constexpr support::MetricRow<HttpStatsSnapshot> kHttpMetrics[] = {
+    {&HttpStatsSnapshot::connections_accepted,
+     "lamb_http_connections_accepted_total", "", "counter",
+     "Connections accepted."},
+    {&HttpStatsSnapshot::connections_rejected,
+     "lamb_http_connections_rejected_total", "", "counter",
+     "Connections refused (over max_connections or fd exhaustion)."},
+    {&HttpStatsSnapshot::requests_total, "lamb_http_requests_total", "",
+     "counter", "HTTP requests dispatched."},
+    {&HttpStatsSnapshot::responses_2xx, "lamb_http_responses_total",
+     "{class=\"2xx\"}", "counter", "HTTP responses by status class."},
+    {&HttpStatsSnapshot::responses_4xx, "", "{class=\"4xx\"}", "counter",
+     ""},
+    {&HttpStatsSnapshot::responses_5xx, "", "{class=\"5xx\"}", "counter",
+     ""},
+    {&HttpStatsSnapshot::responses_other, "", "{class=\"other\"}",
+     "counter", ""},
+    {&HttpStatsSnapshot::parse_errors, "lamb_http_parse_errors_total", "",
+     "counter", "Malformed requests answered 4xx."},
+    {&HttpStatsSnapshot::requests_shed, "lamb_http_requests_shed_total", "",
+     "counter", "Requests answered the prebuilt admission 503 before parse."},
+    {&HttpStatsSnapshot::idle_reaped, "lamb_http_idle_reaped_total", "",
+     "counter", "Connections closed by the idle reaper."},
+    {&HttpStatsSnapshot::accept_faults, "lamb_http_accept_faults_total", "",
+     "counter", "Accepted connections dropped by net.accept fault injection."},
+    {&HttpStatsSnapshot::write_faults, "lamb_http_write_faults_total", "",
+     "counter", "Connections torn down by net.write fault injection."},
+    {&HttpStatsSnapshot::bytes_read, "lamb_http_bytes_read_total", "",
+     "counter", "Bytes read from clients."},
+    {&HttpStatsSnapshot::bytes_written, "lamb_http_bytes_written_total", "",
+     "counter", "Bytes written to clients."},
+    {&HttpStatsSnapshot::connections_active, "lamb_http_connections_active",
+     "", "gauge", "Currently open client connections."},
+    {&HttpStatsSnapshot::requests_in_flight, "lamb_http_requests_in_flight",
+     "", "gauge",
+     "Requests dispatched to a handler, response not yet queued."},
+    // Exported per loop only (kLoopMetrics).
+    {&HttpStatsSnapshot::epoll_wakeups, nullptr, "", "counter", ""},
+};
+static_assert(8 * support::field_count<HttpStatsSnapshot>(kHttpMetrics) +
+                  sizeof(support::LatencyHistogram::Snapshot) ==
+              sizeof(HttpStatsSnapshot));
+
+/// The per-reactor families: one series per event loop, labelled
+/// loop="i". scripts/metrics_lint.sh pins every lamb_net_loop_* family to
+/// exactly lamb_net_loops series.
+inline constexpr support::MetricRow<HttpStatsSnapshot> kLoopMetrics[] = {
+    {&HttpStatsSnapshot::connections_active, "lamb_net_loop_connections", "",
+     "gauge", "Open connections owned by each event loop."},
+    {&HttpStatsSnapshot::requests_total, "lamb_net_loop_requests_total", "",
+     "counter", "Requests dispatched by each event loop."},
+    {&HttpStatsSnapshot::epoll_wakeups, "lamb_net_loop_epoll_wakeups_total",
+     "", "counter", "epoll_wait returns on each event loop."},
 };
 
 class Server;
@@ -244,8 +280,8 @@ class Server {
   /// Whole-server counters: every reactor's stats merged into one plain
   /// snapshot (histograms merge exactly — see LatencyHistogram::merge).
   HttpStatsSnapshot stats() const;
-  /// One loop's live counters (the /metrics lamb_net_loop_* series).
-  const HttpStats& loop_stats(std::size_t loop) const;
+  /// One loop's counters (the /metrics lamb_net_loop_* series).
+  HttpStatsSnapshot loop_stats(std::size_t loop) const;
 
   /// Serve until stop(): runs reactor 0 on the calling thread and loops
   /// 1..N-1 on internal threads, then joins them in loop order. One caller

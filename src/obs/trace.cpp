@@ -86,18 +86,6 @@ std::string_view to_string(Stage stage) {
   return "?";
 }
 
-/// Per-stage PMU accumulators: owner-written with relaxed adds, merged at
-/// scrape time (same contract as the stage histograms).
-struct PmuAgg {
-  std::atomic<std::uint64_t> samples{0};
-  std::atomic<std::uint64_t> cycles{0};
-  std::atomic<std::uint64_t> instructions{0};
-  std::atomic<std::uint64_t> llc_loads{0};
-  std::atomic<std::uint64_t> llc_misses{0};
-  std::atomic<std::uint64_t> stalled{0};
-  std::atomic<std::uint64_t> flops{0};
-};
-
 struct detail::Lane {
   Lane(std::size_t capacity, std::uint32_t lane_index)
       : ring(capacity), mask(capacity - 1), index(lane_index) {}
@@ -107,7 +95,10 @@ struct detail::Lane {
   std::atomic<std::uint64_t> head{0};  ///< total spans pushed by the owner
   std::uint32_t index;
   std::array<support::LatencyHistogram, kStageCount> stages;
-  std::array<PmuAgg, kStageCount> pmu;
+  /// Per-stage PMU accumulators: owner-written with relaxed adds
+  /// (support::count), merged at scrape time through kPmuMetrics (same
+  /// contract as the stage histograms).
+  std::array<PmuStageTotals, kStageCount> pmu;
   std::array<support::LatencyHistogram, kStageCount> pmu_ipc;
 };
 
@@ -369,16 +360,9 @@ std::array<PmuStageTotals, kStageCount> Tracer::pmu_stage_totals() const {
   const std::lock_guard<std::mutex> lock(lanes_mutex_);
   for (const std::unique_ptr<detail::Lane>& lane : lanes_) {
     for (std::size_t s = 0; s < kStageCount; ++s) {
-      const PmuAgg& agg = lane->pmu[s];
-      merged[s].samples += agg.samples.load(std::memory_order_relaxed);
-      merged[s].cycles += agg.cycles.load(std::memory_order_relaxed);
-      merged[s].instructions +=
-          agg.instructions.load(std::memory_order_relaxed);
-      merged[s].llc_loads += agg.llc_loads.load(std::memory_order_relaxed);
-      merged[s].llc_misses += agg.llc_misses.load(std::memory_order_relaxed);
-      merged[s].stalled_backend +=
-          agg.stalled.load(std::memory_order_relaxed);
-      merged[s].flops += agg.flops.load(std::memory_order_relaxed);
+      support::add_rows<PmuStageTotals>(
+          kPmuMetrics, merged[s],
+          support::load_relaxed<PmuStageTotals>(kPmuMetrics, lane->pmu[s]));
     }
   }
   return merged;
@@ -588,16 +572,14 @@ void SpanScope::finish() {
       t.push(ln, record);
       if (pmu.valid) {
         const std::size_t s = static_cast<std::size_t>(stage_);
-        PmuAgg& agg = ln.pmu[s];
-        agg.samples.fetch_add(1, std::memory_order_relaxed);
-        agg.cycles.fetch_add(pmu.cycles, std::memory_order_relaxed);
-        agg.instructions.fetch_add(pmu.instructions,
-                                   std::memory_order_relaxed);
-        agg.llc_loads.fetch_add(pmu.llc_loads, std::memory_order_relaxed);
-        agg.llc_misses.fetch_add(pmu.llc_misses, std::memory_order_relaxed);
-        agg.stalled.fetch_add(pmu.stalled_backend,
-                              std::memory_order_relaxed);
-        agg.flops.fetch_add(flops_, std::memory_order_relaxed);
+        PmuStageTotals& agg = ln.pmu[s];
+        support::count(agg.samples);
+        support::count(agg.cycles, pmu.cycles);
+        support::count(agg.instructions, pmu.instructions);
+        support::count(agg.llc_loads, pmu.llc_loads);
+        support::count(agg.llc_misses, pmu.llc_misses);
+        support::count(agg.stalled_backend, pmu.stalled_backend);
+        support::count(agg.flops, flops_);
         ln.pmu_ipc[s].record(pmu.ipc());
       }
     }
@@ -605,15 +587,54 @@ void SpanScope::finish() {
   t.record_stage(stage_, t0_, t1);
 }
 
-support::LatencyHistogram::Snapshot subtract_snapshot(
-    const support::LatencyHistogram::Snapshot& now,
-    const support::LatencyHistogram::Snapshot& before) {
-  support::LatencyHistogram::Snapshot out;
-  for (std::size_t b = 0; b < out.counts.size(); ++b) {
-    out.counts[b] = now.counts[b] - before.counts[b];
+std::array<StageTotals, kStageCount> stage_totals() {
+  const auto snaps = tracer().stage_snapshots();
+  const auto pmu = tracer().pmu_stage_totals();
+  std::array<StageTotals, kStageCount> out;
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    out[s] = StageTotals{snaps[s].count, snaps[s].sum_seconds, pmu[s]};
   }
-  out.count = now.count - before.count;
-  out.sum_seconds = now.sum_seconds - before.sum_seconds;
+  return out;
+}
+
+std::string stage_table(std::span<const StageTotals> stages) {
+  double total_seconds = 0.0;
+  bool pmu = false;
+  for (const StageTotals& s : stages) {
+    total_seconds += s.seconds;
+    pmu = pmu || s.pmu.cycles > 0;
+  }
+  std::string out = support::strf("%-8s %9s %11s %6s", "stage", "count",
+                                  "wall_ms", "pct");
+  out += pmu ? support::strf(" %12s %12s %6s %9s\n", "cycles", "instrs",
+                             "ipc", "llc_miss")
+             : "\n";
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const StageTotals& s = stages[i];
+    if (s.count == 0) {
+      continue;
+    }
+    out += support::strf(
+        "%-8s %9llu %11.3f %5.1f%%",
+        std::string(to_string(static_cast<Stage>(i))).c_str(),
+        static_cast<unsigned long long>(s.count), 1e3 * s.seconds,
+        total_seconds > 0.0 ? 100.0 * s.seconds / total_seconds : 0.0);
+    if (pmu && s.pmu.cycles > 0) {
+      out += support::strf(" %12llu %12llu %6.2f",
+                           static_cast<unsigned long long>(s.pmu.cycles),
+                           static_cast<unsigned long long>(s.pmu.instructions),
+                           static_cast<double>(s.pmu.instructions) /
+                               static_cast<double>(s.pmu.cycles));
+      out += s.pmu.llc_loads > 0
+                 ? support::strf(" %8.2f%%",
+                                 100.0 * static_cast<double>(s.pmu.llc_misses) /
+                                     static_cast<double>(s.pmu.llc_loads))
+                 : support::strf(" %9s", "-");
+    } else if (pmu) {
+      out += support::strf(" %12s %12s %6s %9s", "-", "-", "-", "-");
+    }
+    out += '\n';
+  }
   return out;
 }
 

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "obs/clock.hpp"
 #include "obs/pmu.hpp"
 #include "support/histogram.hpp"
+#include "support/metrics.hpp"
 
 namespace lamb::obs {
 
@@ -89,6 +91,28 @@ struct PmuStageTotals {
   std::uint64_t flops = 0;
 };
 
+/// The /metrics lamb_pmu_* counter families, one series per stage
+/// (present only while the PMU is live; see obs/pmu.hpp).
+inline constexpr support::MetricRow<PmuStageTotals> kPmuMetrics[] = {
+    {&PmuStageTotals::samples, "lamb_pmu_samples_total", "", "counter",
+     "Sampled spans with PMU attribution, by stage."},
+    {&PmuStageTotals::cycles, "lamb_pmu_cycles_total", "", "counter",
+     "CPU cycles attributed to sampled spans, by stage."},
+    {&PmuStageTotals::instructions, "lamb_pmu_instructions_total", "",
+     "counter", "Instructions retired in sampled spans, by stage."},
+    {&PmuStageTotals::llc_loads, "lamb_pmu_llc_loads_total", "", "counter",
+     "Last-level-cache read accesses in sampled spans, by stage."},
+    {&PmuStageTotals::llc_misses, "lamb_pmu_llc_misses_total", "", "counter",
+     "Last-level-cache read misses in sampled spans, by stage."},
+    {&PmuStageTotals::stalled_backend, "lamb_pmu_stalled_backend_total", "",
+     "counter", "Backend-stalled cycles in sampled spans, by stage."},
+    {&PmuStageTotals::flops, "lamb_pmu_flops_total", "", "counter",
+     "Declared floating-point operations of PMU-attributed spans, by stage "
+     "(2mnk per gemm)."},
+};
+static_assert(8 * support::field_count<PmuStageTotals>(kPmuMetrics) ==
+              sizeof(PmuStageTotals));
+
 /// Propagated identity of the request being served on this thread.
 /// trace_id == 0 means "no active trace" (spans are skipped).
 struct TraceContext {
@@ -128,6 +152,17 @@ struct TracerCounters {
   std::uint64_t sampled = 0;   ///< traces with detailed capture
   std::uint64_t spans = 0;     ///< spans pushed into rings (pre-overwrite)
   std::uint64_t slow = 0;      ///< slow-log admissions (bounded ring may drop)
+};
+
+inline constexpr support::MetricRow<TracerCounters> kTracerMetrics[] = {
+    {&TracerCounters::requests, "lamb_trace_requests_total", "", "counter",
+     "Traces begun."},
+    {&TracerCounters::sampled, "lamb_trace_sampled_total", "", "counter",
+     "Traces with detailed span capture."},
+    {&TracerCounters::spans, "lamb_trace_spans_total", "", "counter",
+     "Spans pushed into the per-thread rings (pre-overwrite)."},
+    {&TracerCounters::slow, "lamb_trace_slow_total", "", "counter",
+     "Slow-log admissions."},
 };
 
 namespace detail {
@@ -303,10 +338,23 @@ class SpanScope {
   PmuScope pmu_;
 };
 
-/// Histogram-snapshot arithmetic for stage-delta accounting (the
-/// simulator's --stage-breakdown diffs scrapes at phase boundaries).
-support::LatencyHistogram::Snapshot subtract_snapshot(
-    const support::LatencyHistogram::Snapshot& now,
-    const support::LatencyHistogram::Snapshot& before);
+/// One stage's attributed work over some window: its executions, their
+/// summed wall time, and the PMU totals of its sampled spans.
+struct StageTotals {
+  std::uint64_t count = 0;
+  double seconds = 0.0;
+  PmuStageTotals pmu;
+};
+
+/// The process-wide per-stage totals so far (tracer().stage_snapshots()
+/// counts and sums with tracer().pmu_stage_totals()), indexed by Stage.
+std::array<StageTotals, kStageCount> stage_totals();
+
+/// The one stage-breakdown report (`serve_cli profile`, SimReport): a
+/// header line starting "stage ", then a line per stage that ran, indexed
+/// by Stage — count, wall milliseconds and share of the summed stage time
+/// (stages nest, so shares are of the sum, not of wall time), plus cycles,
+/// instructions, IPC and LLC miss rate when the PMU attributed any span.
+std::string stage_table(std::span<const StageTotals> stages);
 
 }  // namespace lamb::obs

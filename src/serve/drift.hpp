@@ -43,6 +43,7 @@
 #include "model/machine.hpp"
 #include "model/perf_profile.hpp"
 #include "serve/selection_service.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace lamb::serve {
@@ -85,6 +86,38 @@ struct DriftStats {
   bool baseline_loaded = false;       ///< baseline came from baseline_path
   /// Seconds since the last completed refresh; -1 until the first one.
   double last_refresh_age_seconds = -1.0;
+};
+
+/// The /metrics lamb_drift_* families (present when a monitor is attached
+/// to the routes).
+inline constexpr support::MetricRow<DriftStats> kDriftMetrics[] = {
+    {&DriftStats::checks, "lamb_drift_checks_total", "", "counter",
+     "Drift probe rounds run."},
+    {&DriftStats::probe_measurements, "lamb_drift_probe_measurements_total",
+     "", "counter", "Individual drift probe measurements."},
+    {&DriftStats::drift_detected, "lamb_drift_detected_total", "", "counter",
+     "Drift detections."},
+    {&DriftStats::refresh_rounds, "lamb_drift_refreshes_total", "", "counter",
+     "Refresh rounds triggered by drift."},
+    {&DriftStats::slices_refreshed, "lamb_drift_slices_refreshed_total", "",
+     "counter", "Slices rebuilt after drift."},
+    {&DriftStats::check_failures, "lamb_drift_check_failures_total", "",
+     "counter",
+     "Drift check rounds that threw; the monitor survives and backs off its "
+     "interval until probes succeed again."},
+    {&DriftStats::probe_cycles, "lamb_drift_probe_cycles_total", "",
+     "counter",
+     "CPU cycles spent inside drift probe measurements (PMU-attributed; 0 "
+     "when counters are unavailable)."},
+    {&DriftStats::probe_instructions, "lamb_drift_probe_instructions_total",
+     "", "counter", "Instructions retired inside drift probe measurements."},
+    {&DriftStats::refresh_cycles, "lamb_drift_refresh_cycles_total", "",
+     "counter", "CPU cycles spent on drift-triggered refresh rounds."},
+    {&DriftStats::last_score, "lamb_drift_score", "", "gauge",
+     "Latest drift score."},
+    {&DriftStats::last_refresh_age_seconds,
+     "lamb_drift_last_refresh_age_seconds", "", "gauge",
+     "Seconds since the last drift refresh."},
 };
 
 class DriftMonitor {

@@ -195,8 +195,8 @@ SelectionService::AtlasPtr SelectionService::build_slice(
   }
   const AtlasPtr built = std::make_shared<const anomaly::RegionAtlas>(
       family, machine_, key.base, key.dim, config_.atlas);
-  atlas_samples_.fetch_add(built->samples_used());
-  atlases_built_.fetch_add(1);
+  support::count(counters_.atlas_samples, built->samples_used());
+  support::count(counters_.atlases_built);
   return built;
 }
 
@@ -337,7 +337,7 @@ void SelectionService::breaker_failure(const SliceId& id) {
   b.open_until_ns = steady_now_ns() +
                     static_cast<std::uint64_t>(backoff * 1e9);
   b.open_count += 1;
-  breaker_opens_.fetch_add(1);
+  support::count(counters_.breaker_opens);
   std::fprintf(stderr,
                "breaker: slice %s:dim%d open (%d consecutive failures, "
                "retry in %.3fs)\n",
@@ -392,7 +392,7 @@ Recommendation SelectionService::classify_exact(const Query& q) {
   }
   const anomaly::InstanceResult result = anomaly::classify_instance(
       family, machine_, q.dims, config_.atlas.time_score_threshold);
-  measured_queries_.fetch_add(1);
+  support::count(counters_.measured_queries);
   return Recommendation{result.fastest.front(), result.cheapest.front(),
                         !result.anomaly, result.time_score, Source::kMeasured};
 }
@@ -409,7 +409,7 @@ Recommendation SelectionService::fallback_answer(const Query& q) {
       best = i;  // strict <: ties keep the earliest, the canonical order
     }
   }
-  degraded_answers_.fetch_add(1);
+  support::count(counters_.degraded_answers);
   return Recommendation{best, best, true, 0.0, Source::kFallback};
 }
 
@@ -420,7 +420,8 @@ bool SelectionService::try_cached(const Query& q, Recommendation& out) {
   if (auto hit = cache_.get(q)) {
     out = *hit;
     out.source = Source::kCache;
-    cache_answers_.fetch_add(1);
+    support::count(counters_.cache_hits);
+    support::count(counters_.cache_answers);
     return true;
   }
   return false;
@@ -432,6 +433,7 @@ Recommendation SelectionService::query(const Query& q) {
 }
 
 Recommendation SelectionService::answer_one(const Query& q) {
+  support::count(counters_.cache_misses);
   Recommendation rec;
   answer(std::span<const Query>(&q, 1), std::span<Recommendation>(&rec, 1),
          /*probed=*/true);
@@ -562,7 +564,8 @@ std::size_t SelectionService::answer(std::span<const Query> batch,
   }
   if (answering) {
     // Every non-exact query not degraded was answered from its slice.
-    atlas_answers_.fetch_add(batch.size() - exact_queries.size() - degraded);
+    support::count(counters_.atlas_answers,
+                   batch.size() - exact_queries.size() - degraded);
   }
   const auto obtained = std::count_if(
       missing.begin(), missing.end(),
@@ -570,11 +573,12 @@ std::size_t SelectionService::answer(std::span<const Query> batch,
 
   // Pass 3 — exact queries, in input order.
   for (const std::uint32_t i : exact_queries) {
-    if (probed || !try_cached(batch[i], out[i])) {
+    if (probed) {
       out[i] = classify_exact(batch[i]);
-      if (!probed) {
-        cache_.put(batch[i], out[i]);
-      }
+    } else if (!try_cached(batch[i], out[i])) {
+      support::count(counters_.cache_misses);
+      out[i] = classify_exact(batch[i]);
+      cache_.put(batch[i], out[i]);
     }
   }
   return static_cast<std::size_t>(obtained);
@@ -584,8 +588,8 @@ std::vector<Recommendation> SelectionService::query_batch(
     std::span<const Query> batch) {
   std::vector<Recommendation> out(batch.size());
   if (!batch.empty()) {
-    batch_calls_.fetch_add(1);
-    batch_queries_.fetch_add(batch.size());
+    support::count(counters_.batch_calls);
+    support::count(counters_.batch_queries, batch.size());
     answer(batch, out, /*probed=*/false);
   }
   return out;
@@ -594,7 +598,7 @@ std::vector<Recommendation> SelectionService::query_batch(
 std::future<Recommendation> SelectionService::query_async(Query q) {
   // Invalid queries throw here, synchronously, like query().
   validate_query(q, resolve_family(q.family));
-  async_calls_.fetch_add(1);
+  support::count(counters_.async_calls);
   std::promise<Recommendation> ready;
   Recommendation rec;
   const bool cached = try_cached(q, rec);
@@ -625,7 +629,8 @@ std::future<Recommendation> SelectionService::query_async(Query q) {
     if (bucket == async_queue_.end()) {
       if (config_.degrade_on_failure && config_.max_build_queue > 0 &&
           async_queue_.size() >= config_.max_build_queue) {
-        builds_shed_.fetch_add(1);
+        support::count(counters_.builds_shed);
+        support::count(counters_.cache_misses);
         ready.set_value(fallback_answer(q));
         return ready.get_future();
       }
@@ -691,11 +696,11 @@ std::size_t SelectionService::warm_from_store(
         store::quarantine_file(path, e.what());
         std::fprintf(stderr, "warm_from_store: quarantined %s: %s\n",
                      path.c_str(), e.what());
-        atlases_quarantined_.fetch_add(1);
+        support::count(counters_.atlases_quarantined);
       } catch (const store::SerialError& rename_error) {
         std::fprintf(stderr, "warm_from_store: skipping %s: %s\n",
                      path.c_str(), rename_error.what());
-        atlases_skipped_.fetch_add(1);
+        support::count(counters_.atlases_skipped);
       }
       continue;
     }
@@ -711,7 +716,7 @@ std::size_t SelectionService::warm_from_store(
   // One copy-on-write swap adopts everything; already-present slices win
   // (they may be referenced by outstanding atlas_for() pointers).
   const std::size_t adopted = fresh.empty() ? 0 : publish(std::move(fresh));
-  atlases_loaded_.fetch_add(adopted);
+  support::count(counters_.atlases_loaded, adopted);
   return adopted;
 }
 
@@ -737,7 +742,7 @@ std::size_t SelectionService::refresh_slices() {
     slices.push_back(&slice);
   }
   if (slices.empty()) {
-    refresh_rounds_.fetch_add(1);
+    support::count(counters_.refresh_rounds);
     return 0;
   }
 
@@ -764,12 +769,11 @@ std::size_t SelectionService::refresh_slices() {
     snapshot_.store(std::move(next));
   }
   // Cached recommendations quote the stale generation; drop them after the
-  // swap so every later answer re-reads the refreshed slices. (This resets
-  // the LRU hit/miss pair; the monotonic per-source counters are
-  // unaffected.)
+  // swap so every later answer re-reads the refreshed slices. (The hit and
+  // miss counts are the service's own and keep counting.)
   cache_.clear();
-  slices_refreshed_.fetch_add(slices.size());
-  refresh_rounds_.fetch_add(1);
+  support::count(counters_.slices_refreshed, slices.size());
+  support::count(counters_.refresh_rounds);
   return slices.size();
 }
 
@@ -785,26 +789,7 @@ std::size_t SelectionService::atlas_count() const {
 }
 
 ServiceStats SelectionService::stats() const {
-  ServiceStats s;
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
-  s.atlases_built = atlases_built_.load();
-  s.atlases_loaded = atlases_loaded_.load();
-  s.atlases_skipped = atlases_skipped_.load();
-  s.measured_queries = measured_queries_.load();
-  s.atlas_samples = atlas_samples_.load();
-  s.cache_answers = cache_answers_.load();
-  s.atlas_answers = atlas_answers_.load();
-  s.batch_calls = batch_calls_.load();
-  s.batch_queries = batch_queries_.load();
-  s.async_calls = async_calls_.load();
-  s.slices_refreshed = slices_refreshed_.load();
-  s.refresh_rounds = refresh_rounds_.load();
-  s.degraded_answers = degraded_answers_.load();
-  s.builds_shed = builds_shed_.load();
-  s.breaker_opens = breaker_opens_.load();
-  s.atlases_quarantined = atlases_quarantined_.load();
-  return s;
+  return support::load_relaxed<ServiceStats>(kServiceMetrics, counters_);
 }
 
 }  // namespace lamb::serve

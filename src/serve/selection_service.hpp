@@ -67,6 +67,7 @@
 #include "parallel/thread_pool.hpp"
 #include "serve/shard_cache.hpp"
 #include "store/atlas_store.hpp"
+#include "support/metrics.hpp"
 
 namespace lamb::serve {
 
@@ -147,17 +148,23 @@ struct ServiceConfig {
   std::size_t max_build_queue = 0;
 };
 
+/// The service's counter set and read view (stats()). Every field is
+/// monotonic for the service's lifetime: refresh_slices() clearing the LRU
+/// resets none of them.
 struct ServiceStats {
+  /// Cache answers: queries the LRU probe answered (equal to
+  /// cache_answers).
   std::uint64_t cache_hits = 0;
+  /// Queries answered from another source by query(), query_async() or an
+  /// exact query of a batch: one per such query, however often it was
+  /// probed on the way.
   std::uint64_t cache_misses = 0;
   std::uint64_t atlases_built = 0;
   std::uint64_t atlases_loaded = 0;     ///< warmed from a store
   std::uint64_t atlases_skipped = 0;    ///< corrupt store files skipped
   std::uint64_t measured_queries = 0;   ///< answers classified directly
   long long atlas_samples = 0;          ///< classifications spent building
-  // Monotonic per-source answer counters and per-entry-point call counts.
-  // Unlike the LRU's hit/miss pair these are never reset by clear(), which
-  // is what a scrape-based exporter (the HTTP /metrics endpoint) needs.
+  // Per-source answer counters and per-entry-point call counts.
   std::uint64_t cache_answers = 0;  ///< answers served from the LRU
   std::uint64_t atlas_answers = 0;  ///< answers served from an atlas slice
   std::uint64_t batch_calls = 0;    ///< query_batch() invocations
@@ -170,6 +177,53 @@ struct ServiceStats {
   std::uint64_t breaker_opens = 0;     ///< closed/half-open -> open transitions
   std::uint64_t atlases_quarantined = 0;  ///< corrupt store files set aside
 };
+
+/// Where each ServiceStats field is exported on /metrics (see
+/// support/metrics.hpp); stats() reads the live set through it too.
+inline constexpr support::MetricRow<ServiceStats> kServiceMetrics[] = {
+    {&ServiceStats::cache_answers, "lamb_selection_answers_total",
+     "{source=\"cache\"}", "counter", "Answers by source."},
+    {&ServiceStats::atlas_answers, "", "{source=\"atlas\"}", "counter", ""},
+    {&ServiceStats::measured_queries, "", "{source=\"measured\"}", "counter",
+     ""},
+    {&ServiceStats::degraded_answers, "", "{source=\"fallback\"}", "counter",
+     ""},
+    {&ServiceStats::cache_hits, "lamb_selection_cache_hits_total", "",
+     "counter", "Recommendation-cache hits."},
+    {&ServiceStats::cache_misses, "lamb_selection_cache_misses_total", "",
+     "counter", "Recommendation-cache misses."},
+    {&ServiceStats::atlases_built, "lamb_selection_atlases_built_total", "",
+     "counter", "Region atlases built."},
+    {&ServiceStats::atlases_loaded, "lamb_selection_atlases_loaded_total", "",
+     "counter", "Region atlases loaded from disk."},
+    {&ServiceStats::atlases_skipped, "lamb_selection_atlases_skipped_total",
+     "", "counter", "Atlas builds skipped (already resident)."},
+    {&ServiceStats::atlases_quarantined,
+     "lamb_selection_atlases_quarantined_total", "", "counter",
+     "Corrupt atlas files renamed aside (*.corrupt) at warm-up."},
+    {&ServiceStats::atlas_samples, "lamb_selection_atlas_samples_total", "",
+     "counter", "Measurements taken while building atlases."},
+    {&ServiceStats::batch_calls, "lamb_selection_batch_calls_total", "",
+     "counter", "query_batch() calls."},
+    {&ServiceStats::batch_queries, "lamb_selection_batch_queries_total", "",
+     "counter", "Queries carried by batch calls."},
+    {&ServiceStats::async_calls, "lamb_selection_async_calls_total", "",
+     "counter", "query_async() calls."},
+    {&ServiceStats::refresh_rounds, "lamb_selection_refresh_rounds_total", "",
+     "counter", "Atlas refresh rounds."},
+    {&ServiceStats::slices_refreshed, "lamb_selection_slices_refreshed_total",
+     "", "counter", "Slices rebuilt by refresh rounds."},
+    {&ServiceStats::degraded_answers, "lamb_answers_degraded_total", "",
+     "counter",
+     "Answers served from the flop-minimal fallback instead of an atlas "
+     "(build failed, breaker open, queue shed or deadline)."},
+    {&ServiceStats::breaker_opens, "lamb_breaker_opens_total", "", "counter",
+     "Circuit-breaker open transitions across all slices."},
+    // Exported as lamb_shed_total{reason="build_queue"} by net/routes.
+    {&ServiceStats::builds_shed, nullptr, "", "counter", ""},
+};
+static_assert(8 * support::field_count<ServiceStats>(kServiceMetrics) ==
+              sizeof(ServiceStats));
 
 /// One per-slice circuit breaker, for /metrics: state is 0 (closed but
 /// recently failing), 0.5 (half-open: backoff elapsed, probe pending or in
@@ -215,10 +269,11 @@ class SelectionService {
   }
 
   /// The LRU probe, allocation-free: when the query is already cached, fill
-  /// `out` (counted as a cache answer) and return true; otherwise leave
-  /// `out` untouched and return false. query() and query_async() probe
-  /// through it; the serving warm path calls it directly so an LRU hit
-  /// never allocates.
+  /// `out` (counted as a cache hit and a cache answer) and return true;
+  /// otherwise leave `out` untouched and return false, counting nothing —
+  /// the entry point that then answers counts the miss. query() and
+  /// query_async() probe through it; the serving warm path calls it
+  /// directly so an LRU hit never allocates.
   bool try_cached(const Query& q, Recommendation& out);
 
   /// Answer one query without blocking on atlas scans. Cache hits and
@@ -415,22 +470,9 @@ class SelectionService {
   const bool concurrent_timing_;
 
   ShardedLruCache<Query, Recommendation, QueryHash> cache_;
-  std::atomic<std::uint64_t> atlases_built_{0};
-  std::atomic<std::uint64_t> atlases_loaded_{0};
-  std::atomic<std::uint64_t> atlases_skipped_{0};
-  std::atomic<std::uint64_t> measured_queries_{0};
-  std::atomic<long long> atlas_samples_{0};
-  std::atomic<std::uint64_t> cache_answers_{0};
-  std::atomic<std::uint64_t> atlas_answers_{0};
-  std::atomic<std::uint64_t> batch_calls_{0};
-  std::atomic<std::uint64_t> batch_queries_{0};
-  std::atomic<std::uint64_t> async_calls_{0};
-  std::atomic<std::uint64_t> slices_refreshed_{0};
-  std::atomic<std::uint64_t> refresh_rounds_{0};
-  std::atomic<std::uint64_t> degraded_answers_{0};
-  std::atomic<std::uint64_t> builds_shed_{0};
-  std::atomic<std::uint64_t> breaker_opens_{0};
-  std::atomic<std::uint64_t> atlases_quarantined_{0};
+  /// The live counter set, bumped with support::count() (one relaxed
+  /// atomic add) and read by stats() through kServiceMetrics.
+  mutable ServiceStats counters_;
 };
 
 }  // namespace lamb::serve

@@ -8,7 +8,6 @@
 // (bench/bm_service_throughput.cpp).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,11 +68,8 @@ class ShardedLruCache {
     return total;
   }
 
-  std::uint64_t hits() const { return sum(&Shard::hits); }
-  std::uint64_t misses() const { return sum(&Shard::misses); }
-
-  /// Drops every entry and resets the hit/miss counters (mirrors
-  /// support::LruCache::clear(), which the per-shard call performs).
+  /// Drops every entry. Hits and misses are the owner's to count (a
+  /// SelectionService counts per query, not per probe).
   void clear() {
     for (const auto& shard : shards_) {
       const std::lock_guard<std::mutex> lock(shard->mutex);
@@ -84,8 +80,6 @@ class ShardedLruCache {
  private:
   struct Shard {
     explicit Shard(std::size_t capacity) : cache(capacity) {}
-    std::uint64_t hits() const { return cache.hits(); }
-    std::uint64_t misses() const { return cache.misses(); }
 
     mutable std::mutex mutex;
     support::LruCache<Key, Value, Hash> cache;
@@ -93,15 +87,6 @@ class ShardedLruCache {
 
   Shard& shard_for(const Key& key) {
     return *shards_[Hash{}(key) % shards_.size()];
-  }
-
-  std::uint64_t sum(std::uint64_t (Shard::*counter)() const) const {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      total += (*shard.*counter)();
-    }
-    return total;
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -57,35 +57,29 @@ SimReport run_replay(
   std::vector<Clock::time_point> phase_end(spec.phases.size());
   std::vector<bool> phase_seen(spec.phases.size(), false);
 
-  // Stage attribution: diff the tracer's merged per-stage histograms at
-  // every phase boundary, crediting each segment to the phase that ran it.
-  using StageSnaps =
-      std::array<support::LatencyHistogram::Snapshot, obs::kStageCount>;
-  using PmuTotals = std::array<obs::PmuStageTotals, obs::kStageCount>;
-  StageSnaps stage_base{};
-  PmuTotals pmu_base{};
-  std::vector<StageSnaps> stage_acc;
-  std::vector<PmuTotals> pmu_acc;
+  // Stage attribution: diff the tracer's per-stage totals at every phase
+  // boundary, crediting each segment to the phase that ran it.
+  using Totals = std::array<obs::StageTotals, obs::kStageCount>;
+  Totals stage_base{};
   std::ptrdiff_t stage_phase = -1;
   const auto flush_stages = [&](std::ptrdiff_t next_phase) {
-    const StageSnaps now = obs::tracer().stage_snapshots();
-    const PmuTotals pmu_now = obs::tracer().pmu_stage_totals();
+    const Totals now = obs::stage_totals();
     if (stage_phase >= 0) {
-      StageSnaps& acc = stage_acc[static_cast<std::size_t>(stage_phase)];
-      PmuTotals& pacc = pmu_acc[static_cast<std::size_t>(stage_phase)];
+      std::vector<obs::StageTotals>& acc =
+          report.phases[static_cast<std::size_t>(stage_phase)].stages;
       for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-        const support::LatencyHistogram::Snapshot delta =
-            obs::subtract_snapshot(now[s], stage_base[s]);
-        acc[s].count += delta.count;
-        acc[s].sum_seconds += delta.sum_seconds;
-        pacc[s].samples += pmu_now[s].samples - pmu_base[s].samples;
-        pacc[s].cycles += pmu_now[s].cycles - pmu_base[s].cycles;
-        pacc[s].instructions +=
-            pmu_now[s].instructions - pmu_base[s].instructions;
+        const obs::StageTotals& a = now[s];
+        const obs::StageTotals& b = stage_base[s];
+        acc[s].count += a.count - b.count;
+        acc[s].seconds += a.seconds - b.seconds;
+        acc[s].pmu.samples += a.pmu.samples - b.pmu.samples;
+        acc[s].pmu.cycles += a.pmu.cycles - b.pmu.cycles;
+        acc[s].pmu.instructions += a.pmu.instructions - b.pmu.instructions;
+        acc[s].pmu.llc_loads += a.pmu.llc_loads - b.pmu.llc_loads;
+        acc[s].pmu.llc_misses += a.pmu.llc_misses - b.pmu.llc_misses;
       }
     }
     stage_base = now;
-    pmu_base = pmu_now;
     stage_phase = next_phase;
   };
   if (cfg.stage_breakdown) {
@@ -96,10 +90,10 @@ SimReport run_replay(
       tc.sample_every = 0;  // counters tier only: histograms, no spans
       tr.configure(tc);
     }
-    stage_acc.resize(spec.phases.size());
-    pmu_acc.resize(spec.phases.size());
-    stage_base = tr.stage_snapshots();
-    pmu_base = tr.pmu_stage_totals();
+    for (PhaseStats& phase : report.phases) {
+      phase.stages.resize(obs::kStageCount);
+    }
+    stage_base = obs::stage_totals();
   }
 
   const Clock::time_point start = Clock::now();
@@ -146,15 +140,6 @@ SimReport run_replay(
     stats.p50_us = snap.count == 0 ? 0.0 : snap.quantile(0.50) * 1e6;
     stats.p99_us = snap.count == 0 ? 0.0 : snap.quantile(0.99) * 1e6;
     stats.p999_us = snap.count == 0 ? 0.0 : snap.quantile(0.999) * 1e6;
-    if (cfg.stage_breakdown) {
-      for (std::size_t s = 0; s < obs::kStageCount; ++s) {
-        stats.stages.push_back(StageBreak{
-            std::string(obs::to_string(static_cast<obs::Stage>(s))),
-            stage_acc[i][s].count, stage_acc[i][s].sum_seconds,
-            pmu_acc[i][s].samples, pmu_acc[i][s].cycles,
-            pmu_acc[i][s].instructions});
-      }
-    }
   }
   return report;
 }
@@ -203,25 +188,7 @@ std::string SimReport::to_string() const {
       continue;
     }
     out += support::strf("stage breakdown for %s:\n", p.name.c_str());
-    for (const StageBreak& s : p.stages) {
-      if (s.count == 0) {
-        continue;
-      }
-      out += support::strf("  %-8s %10llu x %10.1f us = %9.3f ms",
-                           s.stage.c_str(),
-                           static_cast<unsigned long long>(s.count),
-                           1e6 * s.seconds / static_cast<double>(s.count),
-                           1e3 * s.seconds);
-      if (s.cycles > 0) {
-        out += support::strf(
-            "  (%llu sampled: %.1f Mcycles, ipc %.2f)",
-            static_cast<unsigned long long>(s.pmu_samples),
-            static_cast<double>(s.cycles) * 1e-6,
-            static_cast<double>(s.instructions) /
-                static_cast<double>(s.cycles));
-      }
-      out += '\n';
-    }
+    out += obs::stage_table(p.stages);
   }
   return out;
 }
@@ -257,18 +224,19 @@ std::string SimReport::to_json() const {
       out.pop_back();  // reopen the phase object for the stages member
       out += ", \"stages\": {";
       for (std::size_t s = 0; s < p.stages.size(); ++s) {
+        const obs::StageTotals& st = p.stages[s];
         out += support::strf(
             "%s\"%s\": {\"count\": %llu, \"seconds\": %.6f",
-            s == 0 ? "" : ", ", p.stages[s].stage.c_str(),
-            static_cast<unsigned long long>(p.stages[s].count),
-            p.stages[s].seconds);
-        if (p.stages[s].cycles > 0) {
+            s == 0 ? "" : ", ",
+            std::string(obs::to_string(static_cast<obs::Stage>(s))).c_str(),
+            static_cast<unsigned long long>(st.count), st.seconds);
+        if (st.pmu.cycles > 0) {
           out += support::strf(
               ", \"pmu_samples\": %llu, \"cycles\": %llu, "
               "\"instructions\": %llu",
-              static_cast<unsigned long long>(p.stages[s].pmu_samples),
-              static_cast<unsigned long long>(p.stages[s].cycles),
-              static_cast<unsigned long long>(p.stages[s].instructions));
+              static_cast<unsigned long long>(st.pmu.samples),
+              static_cast<unsigned long long>(st.pmu.cycles),
+              static_cast<unsigned long long>(st.pmu.instructions));
         }
         out += "}";
       }

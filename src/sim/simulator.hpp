@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "serve/selection_service.hpp"
 #include "sim/generator.hpp"
 #include "sim/trace.hpp"
@@ -50,20 +51,6 @@ struct ReplayConfig {
   bool stage_breakdown = false;
 };
 
-/// One stage's share of a phase (stage_breakdown only).
-struct StageBreak {
-  std::string stage;        ///< request|parse|route|lru|atlas|build|kernel
-  std::uint64_t count = 0;  ///< stage executions attributed to the phase
-  double seconds = 0.0;     ///< total stage time attributed to the phase
-  /// PMU attribution over the phase's SAMPLED spans of this stage (see
-  /// obs/pmu.hpp): all zero when the PMU is unavailable or the tracer runs
-  /// counters-only (sample_every == 0, the stage_breakdown default).
-  /// serve_cli profile replays with full sampling so these fill in.
-  std::uint64_t pmu_samples = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-};
-
 struct PhaseStats {
   std::string name;
   std::uint64_t requests = 0;
@@ -87,9 +74,12 @@ struct PhaseStats {
   double p50_us = 0.0;
   double p99_us = 0.0;
   double p999_us = 0.0;
-  /// Per-stage attribution (ReplayConfig::stage_breakdown; empty
-  /// otherwise). All stages are listed, including zero ones.
-  std::vector<StageBreak> stages;
+  /// Per-stage attribution, indexed by obs::Stage
+  /// (ReplayConfig::stage_breakdown; empty otherwise). The PMU part covers
+  /// the phase's SAMPLED spans: all zero when the PMU is unavailable or the
+  /// tracer runs counters-only (sample_every == 0, the stage_breakdown
+  /// default); serve_cli profile replays with full sampling so it fills in.
+  std::vector<obs::StageTotals> stages;
 };
 
 struct SimReport {

@@ -7,12 +7,13 @@
 
 namespace lamb::support {
 
-void MetricsWriter::family(const char* name, const char* kind,
-                           const char* help) {
+const char* MetricsWriter::family(const char* name, const char* kind,
+                                  const char* help) {
   out_ += strf("# HELP %s %s\n", name, help);
   out_ += strf("# TYPE %s %s\n", name, kind);
   last_family_ = name;
   last_kind_ = kind;
+  return name;
 }
 
 void MetricsWriter::check_kind(const char* name, const char* expected) const {
@@ -27,25 +28,27 @@ void MetricsWriter::check_kind(const char* name, const char* expected) const {
                   expected, last_family_.c_str(), last_kind_.c_str()));
 }
 
-void MetricsWriter::counter(const char* name, const char* labels,
+void MetricsWriter::counter(const char* name, std::string_view labels,
                             std::uint64_t value) {
   check_kind(name, "counter");
-  out_ += strf("%s%s %llu\n", name, labels,
-               static_cast<unsigned long long>(value));
+  out_ += strf("%s%.*s %llu\n", name, static_cast<int>(labels.size()),
+               labels.data(), static_cast<unsigned long long>(value));
 }
 
-void MetricsWriter::gauge(const char* name, const char* labels,
+void MetricsWriter::gauge(const char* name, std::string_view labels,
                           double value) {
   check_kind(name, "gauge");
   // %.9g keeps integral gauges exact (cache sizes, loop counts) and
   // fractional ones (hit ratios) compact.
-  out_ += strf("%s%s %.9g\n", name, labels, value);
+  out_ += strf("%s%.*s %.9g\n", name, static_cast<int>(labels.size()),
+               labels.data(), value);
 }
 
-void MetricsWriter::histogram(const char* name, const std::string& label,
+void MetricsWriter::histogram(const char* name, std::string_view label,
                               const LatencyHistogram::Snapshot& snap) {
   check_kind(name, "histogram");
-  const std::string comma = label.empty() ? "" : label + ",";
+  const std::string l(label);
+  const std::string comma = l.empty() ? "" : l + ",";
   std::uint64_t cumulative = 0;
   for (std::size_t b = 0; b < LatencyHistogram::kBounds.size(); ++b) {
     cumulative += snap.counts[b];
@@ -55,7 +58,7 @@ void MetricsWriter::histogram(const char* name, const std::string& label,
   }
   out_ += strf("%s_bucket{%sle=\"+Inf\"} %llu\n", name, comma.c_str(),
                static_cast<unsigned long long>(snap.count));
-  const std::string wrap = label.empty() ? "" : "{" + label + "}";
+  const std::string wrap = l.empty() ? "" : "{" + l + "}";
   out_ += strf("%s_sum%s %.9f\n", name, wrap.c_str(), snap.sum_seconds);
   out_ += strf("%s_count%s %llu\n", name, wrap.c_str(),
                static_cast<unsigned long long>(snap.count));

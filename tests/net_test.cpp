@@ -10,11 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
 #include <new>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -627,6 +630,159 @@ TEST(NetServe, MetricsExportServiceAndHttpCounters) {
             std::string::npos);
 }
 
+/// The /metrics series set as one line per family: "name kind series...
+/// | help", families sorted by name, each series by its labels. Histogram
+/// series collapse their _bucket/_sum/_count lines (and the le label) into
+/// one "{labels}*lines" entry. Host-dependent parts are left out: the
+/// lamb_build_info label values (version, kernel tier) and the lamb_pmu_*
+/// attribution families, which exist only where perf_event is granted (the
+/// availability gauge, which always exists, stays in).
+std::string metrics_series_summary(const std::string& scrape) {
+  struct Family {
+    std::string kind, help;
+    std::map<std::string, int> series;  // labels -> exposition lines
+  };
+  std::map<std::string, Family> families;
+  std::istringstream in(scrape);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      const std::size_t name_end = line.find(' ', 7);
+      Family& f = families[line.substr(7, name_end - 7)];
+      (line[2] == 'H' ? f.help : f.kind) = line.substr(name_end + 1);
+      continue;
+    }
+    const std::string key = line.substr(0, line.rfind(' '));
+    std::string name = key.substr(0, key.find('{'));
+    std::string labels = key.substr(name.size());
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      const std::string base = name.substr(
+          0, name.size() - std::min(name.size(), std::strlen(suffix)));
+      if (name.size() > base.size() && name.substr(base.size()) == suffix &&
+          families.count(base) != 0 && families[base].kind == "histogram") {
+        name = base;
+        const std::size_t le = labels.find("le=\"");
+        if (le != std::string::npos) {
+          labels.erase(le > 1 ? le - 1 : le,
+                       labels.find('"', le + 4) + 1 - (le > 1 ? le - 1 : le));
+          labels = labels == "{}" ? "" : labels;
+        }
+        break;
+      }
+    }
+    if (name == "lamb_build_info") {
+      labels = std::regex_replace(labels, std::regex("=\"[^\"]*\""), "=\"\"");
+    }
+    families[name].series[labels] += 1;
+  }
+  std::string out;
+  for (const auto& [name, f] : families) {
+    if (name.rfind("lamb_pmu_", 0) == 0 && name != "lamb_pmu_available") {
+      continue;
+    }
+    out += name + " " + f.kind;
+    for (const auto& [labels, lines] : f.series) {
+      out += ' ';
+      out += labels.empty() ? "-" : labels;
+      if (f.kind == "histogram") {
+        out += '*';
+        out += std::to_string(lines);
+      }
+    }
+    out += " | " + f.help + "\n";
+  }
+  return out;
+}
+
+TEST(NetServe, MetricsSeriesSetIsPinned) {
+  // Fixed traffic on a two-loop server with a drift monitor attached: a
+  // cold query, its cached repeat, a two-query batch and a malformed query.
+  lamb::testing::ScriptedMachine machine;
+  const expr::FamilyRegistry registry = scripted_registry();
+  SelectionService service(machine, scripted_config(), &registry);
+  serve::DriftMonitor drift(service, machine);
+  net::SelectionRoutes routes(service);
+  routes.attach_drift(&drift);
+  ServerConfig cfg;
+  cfg.loops = 2;
+  Server server(routes.router(), cfg);
+  routes.attach_server(&server);
+  std::thread loop([&server] { server.run(); });
+  Client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.request("POST", "/v1/query", "scripted,444").status, 200);
+  EXPECT_EQ(client.request("POST", "/v1/query", "scripted,444").status, 200);
+  EXPECT_EQ(client.request("POST", "/v1/batch", "scripted,100\nscripted,200")
+                .status,
+            200);
+  EXPECT_EQ(client.request("POST", "/v1/query", "scripted,abc").status, 400);
+  const auto metrics = client.request("GET", "/metrics");
+  server.stop();
+  loop.join();
+  ASSERT_EQ(metrics.status, 200);
+  // The families, series and HELP texts this scrape carried before the
+  // counter sets became tables; a new series is a new line here.
+  EXPECT_EQ(metrics_series_summary(metrics.body), R"(lamb_answers_degraded_total counter - | Answers served from the flop-minimal fallback instead of an atlas (build failed, breaker open, queue shed or deadline).
+lamb_breaker_opens_total counter - | Circuit-breaker open transitions across all slices.
+lamb_build_info gauge {version="",kernel_tier=""} | Constant 1, labeled with version and kernel tier.
+lamb_drift_check_failures_total counter - | Drift check rounds that threw; the monitor survives and backs off its interval until probes succeed again.
+lamb_drift_checks_total counter - | Drift probe rounds run.
+lamb_drift_detected_total counter - | Drift detections.
+lamb_drift_last_refresh_age_seconds gauge - | Seconds since the last drift refresh.
+lamb_drift_probe_cycles_total counter - | CPU cycles spent inside drift probe measurements (PMU-attributed; 0 when counters are unavailable).
+lamb_drift_probe_instructions_total counter - | Instructions retired inside drift probe measurements.
+lamb_drift_probe_measurements_total counter - | Individual drift probe measurements.
+lamb_drift_refresh_cycles_total counter - | CPU cycles spent on drift-triggered refresh rounds.
+lamb_drift_refreshes_total counter - | Refresh rounds triggered by drift.
+lamb_drift_score gauge - | Latest drift score.
+lamb_drift_slices_refreshed_total counter - | Slices rebuilt after drift.
+lamb_fault_injected_total counter {site="alloc.build"} {site="build.delay_ms"} {site="build.slice"} {site="drift.probe"} {site="net.accept"} {site="net.write"} {site="store.read"} {site="store.write"} | Faults fired by the LAMB_FAULT registry, by site (all zero when injection is disarmed).
+lamb_http_accept_faults_total counter - | Accepted connections dropped by net.accept fault injection.
+lamb_http_bytes_read_total counter - | Bytes read from clients.
+lamb_http_bytes_written_total counter - | Bytes written to clients.
+lamb_http_connections_accepted_total counter - | Connections accepted.
+lamb_http_connections_active gauge - | Currently open client connections.
+lamb_http_connections_rejected_total counter - | Connections refused (over max_connections or fd exhaustion).
+lamb_http_idle_reaped_total counter - | Connections closed by the idle reaper.
+lamb_http_parse_errors_total counter - | Malformed requests answered 4xx.
+lamb_http_request_duration_seconds histogram -*21 | Dispatch-to-response-queued seconds.
+lamb_http_requests_in_flight gauge - | Requests dispatched to a handler, response not yet queued.
+lamb_http_requests_shed_total counter - | Requests answered the prebuilt admission 503 before parse.
+lamb_http_requests_total counter - | HTTP requests dispatched.
+lamb_http_responses_total counter {class="2xx"} {class="4xx"} {class="5xx"} {class="other"} | HTTP responses by status class.
+lamb_http_write_faults_total counter - | Connections torn down by net.write fault injection.
+lamb_net_loop_connections gauge {loop="0"} {loop="1"} | Open connections owned by each event loop.
+lamb_net_loop_epoll_wakeups_total counter {loop="0"} {loop="1"} | epoll_wait returns on each event loop.
+lamb_net_loop_requests_total counter {loop="0"} {loop="1"} | Requests dispatched by each event loop.
+lamb_net_loops gauge - | Configured event loops (reactors).
+lamb_pmu_available gauge - | 1 when hardware performance counters are live (perf_event); 0 when disabled or unavailable.
+lamb_selection_answers_total counter {source="atlas"} {source="cache"} {source="fallback"} {source="measured"} | Answers by source.
+lamb_selection_async_calls_total counter - | query_async() calls.
+lamb_selection_atlas_count gauge - | Resident region atlases.
+lamb_selection_atlas_samples_total counter - | Measurements taken while building atlases.
+lamb_selection_atlases_built_total counter - | Region atlases built.
+lamb_selection_atlases_loaded_total counter - | Region atlases loaded from disk.
+lamb_selection_atlases_quarantined_total counter - | Corrupt atlas files renamed aside (*.corrupt) at warm-up.
+lamb_selection_atlases_skipped_total counter - | Atlas builds skipped (already resident).
+lamb_selection_batch_calls_total counter - | query_batch() calls.
+lamb_selection_batch_queries_total counter - | Queries carried by batch calls.
+lamb_selection_cache_hit_ratio gauge - | Cache hits over lookups since start.
+lamb_selection_cache_hits_total counter - | Recommendation-cache hits.
+lamb_selection_cache_misses_total counter - | Recommendation-cache misses.
+lamb_selection_cache_size gauge - | Entries in the recommendation cache.
+lamb_selection_refresh_rounds_total counter - | Atlas refresh rounds.
+lamb_selection_slices_refreshed_total counter - | Slices rebuilt by refresh rounds.
+lamb_shed_total counter {reason="admission"} {reason="build_queue"} {reason="deadline"} | Requests shed instead of served, by reason: admission = 503 before parse, build_queue = fallback instead of a queued build, deadline = 504 past the query deadline.
+lamb_stage_seconds histogram {stage="atlas"}*21 {stage="build"}*21 {stage="kernel"}*21 {stage="lru"}*21 {stage="parse"}*21 {stage="request"}*21 {stage="route"}*21 | Per-stage serving latency, seconds (always-on tier; empty until tracing is enabled).
+lamb_trace_enabled gauge - | 1 when tracing is enabled.
+lamb_trace_requests_total counter - | Traces begun.
+lamb_trace_sample_every gauge - | Detailed capture rate: 1-in-N requests (0 = off).
+lamb_trace_sampled_total counter - | Traces with detailed span capture.
+lamb_trace_slow_total counter - | Slow-log admissions.
+lamb_trace_spans_total counter - | Spans pushed into the per-thread rings (pre-overwrite).
+lamb_uptime_seconds gauge - | Seconds since the serving process started.
+)");
+}
+
 /// RAII tracer configuration for one test: restores the disabled default
 /// so the rest of the suite runs uninstrumented.
 struct ScopedTracing {
@@ -916,10 +1072,10 @@ TEST(NetServe, AcceptorModeRoundRobinsConnectionsAcrossLoops) {
   }
   std::uint64_t total_requests = 0;
   for (std::size_t i = 0; i < served.server().loops(); ++i) {
-    const net::HttpStats& s = served.server().loop_stats(i);
-    EXPECT_EQ(s.connections_accepted.load(), 3u) << "loop " << i;
-    EXPECT_EQ(s.requests_total.load(), 3u) << "loop " << i;
-    total_requests += s.requests_total.load();
+    const net::HttpStatsSnapshot s = served.server().loop_stats(i);
+    EXPECT_EQ(s.connections_accepted, 3u) << "loop " << i;
+    EXPECT_EQ(s.requests_total, 3u) << "loop " << i;
+    total_requests += s.requests_total;
   }
   EXPECT_EQ(total_requests, 9u);
   EXPECT_EQ(served.server().stats().requests_total, 9u);

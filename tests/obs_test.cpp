@@ -5,12 +5,14 @@
 // here the tracer is driven directly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -464,25 +466,31 @@ TEST_F(ObsTest, SampledSpansCarryPmuDeltasIntoTotalsAndJson) {
   EXPECT_NE(json.find("\"ipc\""), std::string::npos);
 }
 
-TEST_F(ObsTest, SubtractSnapshotYieldsTheDelta) {
-  support::LatencyHistogram histogram;
-  histogram.record(1e-4);
-  histogram.record(2e-3);
-  const support::LatencyHistogram::Snapshot before = histogram.snapshot();
-  histogram.record(5e-2);
-  histogram.record(5e-2);
-  histogram.record(1e-4);
-  const support::LatencyHistogram::Snapshot after = histogram.snapshot();
+TEST(StageTable, ListsStagesThatRanWithPmuColumnsOnlyWhenAttributed) {
+  std::array<obs::StageTotals, obs::kStageCount> stages{};
+  stages[static_cast<std::size_t>(obs::Stage::kLru)] = {4, 0.001, {}};
+  stages[static_cast<std::size_t>(obs::Stage::kBuild)] = {1, 0.003, {}};
+  const std::string plain = obs::stage_table(stages);
+  EXPECT_EQ(plain.rfind("stage ", 0), 0u);
+  EXPECT_EQ(plain.find("cycles"), std::string::npos);
+  EXPECT_NE(plain.find("lru              4       1.000  25.0%\n"),
+            std::string::npos);
+  EXPECT_NE(plain.find("build            1       3.000  75.0%\n"),
+            std::string::npos);
+  EXPECT_EQ(plain.find("kernel"), std::string::npos);  // never ran
 
-  const support::LatencyHistogram::Snapshot delta =
-      obs::subtract_snapshot(after, before);
-  EXPECT_EQ(delta.count, 3u);
-  EXPECT_NEAR(delta.sum_seconds, 5e-2 + 5e-2 + 1e-4, 1e-9);
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t count : delta.counts) {
-    bucket_total += count;
-  }
-  EXPECT_EQ(bucket_total, 3u);
+  obs::PmuStageTotals& pmu =
+      stages[static_cast<std::size_t>(obs::Stage::kBuild)].pmu;
+  pmu.cycles = 200;
+  pmu.instructions = 300;
+  pmu.llc_loads = 10;
+  pmu.llc_misses = 1;
+  const std::string attributed = obs::stage_table(stages);
+  EXPECT_NE(attributed.find("llc_miss"), std::string::npos);
+  EXPECT_NE(attributed.find("  1.50    10.00%\n"), std::string::npos);
+  EXPECT_NE(attributed.find("lru              4       1.000  25.0%"
+                            "            -            -      -         -\n"),
+            std::string::npos);
 }
 
 }  // namespace

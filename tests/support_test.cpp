@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -346,6 +348,77 @@ TEST(MetricsWriter, KindMismatchIsRejected) {
   w2.family("lamb_requests_total", "counter", "Requests.");
   EXPECT_THROW(w2.gauge("lamb_requests_total", 1.0), CheckError);
   EXPECT_THROW(w2.counter("lamb_other_total", 1), CheckError);
+}
+
+struct Tally {
+  std::uint64_t hits = 0;
+  long long balance = 0;
+  double level = 0.0;
+};
+
+constexpr MetricRow<Tally> kTallyRows[] = {
+    {&Tally::hits, "lamb_tally_total", "{kind=\"hits\"}", "counter",
+     "Tallies by kind."},
+    {&Tally::balance, "", "{kind=\"balance\"}", "counter", ""},
+    {&Tally::hits, "lamb_tally_hits_total", "", "counter", "Hits again."},
+    {&Tally::level, nullptr, "", "gauge", ""},  // read and summed, not shown
+};
+
+TEST(MetricsWriter, CounterSetTablesDriveEveryReader) {
+  Tally live;
+  count(live.hits, 2);
+  count(live.balance, -3);
+  live.level = 0.5;
+  const Tally view = load_relaxed<Tally>(kTallyRows, live);
+  EXPECT_EQ(view.hits, 2u);
+  EXPECT_EQ(view.balance, -3);
+  EXPECT_EQ(view.level, 0.5);
+
+  // Summing adds each field once, though two rows export `hits`.
+  Tally sum;
+  add_rows<Tally>(kTallyRows, sum, view);
+  add_rows<Tally>(kTallyRows, sum, view);
+  EXPECT_EQ(sum.hits, 4u);
+  EXPECT_EQ(sum.balance, -6);
+  EXPECT_EQ(sum.level, 1.0);
+
+  MetricsWriter w;
+  w.rows<Tally>(kTallyRows, view);
+  const std::string out = w.take();
+  EXPECT_EQ(out,
+            "# HELP lamb_tally_total Tallies by kind.\n"
+            "# TYPE lamb_tally_total counter\n"
+            "lamb_tally_total{kind=\"hits\"} 2\n"
+            "lamb_tally_total{kind=\"balance\"} 0\n"  // counters clamp at 0
+            "# HELP lamb_tally_hits_total Hits again.\n"
+            "# TYPE lamb_tally_hits_total counter\n"
+            "lamb_tally_hits_total 2\n");
+}
+
+TEST(MetricsWriter, PerViewRowsAndLabelledFamilies) {
+  constexpr MetricRow<Tally> kPerLoop[] = {
+      {&Tally::hits, "lamb_loop_hits_total", "", "counter", "Per loop."},
+      {&Tally::level, "lamb_loop_level", "", "gauge", "Level per loop."},
+  };
+  const std::vector<Tally> loops{{1, 0, 0.25}, {5, 0, 2.0}};
+  MetricsWriter w;
+  w.rows(kPerLoop, loops, "loop",
+         [](std::size_t i) { return std::to_string(i); });
+  LatencyHistogram h;
+  h.record(2e-5);
+  w.labelled("lamb_stage_seconds", "histogram", "Stage latency.", "stage", 1,
+             [](std::size_t) { return "kernel"; },
+             [&](std::size_t) { return h.snapshot(); });
+  const std::string out = w.take();
+  EXPECT_NE(out.find("lamb_loop_hits_total{loop=\"0\"} 1\n"
+                     "lamb_loop_hits_total{loop=\"1\"} 5\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("# TYPE lamb_loop_level gauge\n"
+                     "lamb_loop_level{loop=\"0\"} 0.25\n"
+                     "lamb_loop_level{loop=\"1\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("lamb_stage_seconds_count{stage=\"kernel\"} 1\n"),
+            std::string::npos);
 }
 
 TEST(LatencyHistogram, MergingEmptyChangesNothing) {
