@@ -22,8 +22,8 @@
 //                     [--trace=off|counters|sampled|full] [--trace-sweep]
 //                     [--rounds=3] [--max-sampled-overhead=0]
 //
-// --loops shards the server over N epoll event loops (SO_REUSEPORT
-// listeners when the kernel allows). --loop-sweep=N additionally re-runs
+// --loops spreads the server over N epoll event loops (loop 0 deals the
+// connections round-robin). --loop-sweep=N additionally re-runs
 // the single-query phase at 1, 2, 4, ... <= N loops against fresh servers
 // and reports aggregate qps plus the per-loop request shares (written to
 // the JSON as loop_sweep rows, host core count included — loops beyond the
@@ -253,14 +253,10 @@ int main(int argc, char** argv) {
     batch_bodies.push_back(std::move(body));
   }
 
-  std::printf("bm_net_throughput: %d connections, pipeline %d, %zu loop%s "
-              "(%s), loopback port %u\n",
+  std::printf("bm_net_throughput: %d connections, pipeline %d, %zu loop%s, "
+              "loopback port %u\n",
               connections, window, server.loops(),
-              server.loops() == 1 ? "" : "s",
-              server.loops() == 1          ? "single listener"
-              : server.sharded_listeners() ? "SO_REUSEPORT"
-                                           : "acceptor handoff",
-              server.port());
+              server.loops() == 1 ? "" : "s", server.port());
 
   if (cli.get_bool("trace-sweep", false)) {
     const int rounds = static_cast<int>(cli.get_int("rounds", 3));
@@ -380,10 +376,10 @@ int main(int argc, char** argv) {
 
   // Loop scaling sweep: re-run the single-query phase against fresh servers
   // with 1, 2, 4, ... <= --loop-sweep event loops. The per-loop request
-  // shares show how evenly the kernel (SO_REUSEPORT) or the round-robin
-  // acceptor spread the connections; host_cores is recorded because loops
-  // beyond the physical core count cannot scale (CI runners and dev hosts
-  // differ widely here — the JSON keeps the numbers honest).
+  // shares show how the round-robin accept spread the connections'
+  // traffic; host_cores is recorded because loops beyond the physical core
+  // count cannot scale (CI runners and dev hosts differ widely here — the
+  // JSON keeps the numbers honest).
   std::vector<std::string> sweep_rows;
   if (loop_sweep > 0) {
     const unsigned host_cores =
@@ -411,19 +407,17 @@ int main(int argc, char** argv) {
       sweep_server.stop();
       sweep_loop.join();
       std::printf(
-          "  loops %2d (%s) %8.0f q/s | p50 %7.1f us  p99 %7.1f us | "
+          "  loops %2d %8.0f q/s | p50 %7.1f us  p99 %7.1f us | "
           "per-loop requests %s\n",
-          n, sweep_server.sharded_listeners() ? "reuseport" : "handoff ",
-          r.qps(), 1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99),
+          n, r.qps(), 1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99),
           per_loop.c_str());
       sweep_rows.push_back(support::strf(
           "  {\"section\": \"serving\", \"name\": \"loop_sweep\", "
-          "\"loops\": %d, \"host_cores\": %u, \"sharded\": %s, "
+          "\"loops\": %d, \"host_cores\": %u, "
           "\"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, "
           "\"per_loop_requests\": %s}",
-          n, host_cores,
-          sweep_server.sharded_listeners() ? "true" : "false", r.qps(),
-          1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99), per_loop.c_str()));
+          n, host_cores, r.qps(), 1e6 * r.quantile(0.50),
+          1e6 * r.quantile(0.99), per_loop.c_str()));
     }
     routes.attach_server(&server);  // sweep servers are gone
   }

@@ -34,10 +34,10 @@
 //           through the copy-on-write refresh path when the machine's
 //           timings move; progress is visible as lamb_drift_* on /metrics.
 //           With --atlas-dir the drift baseline persists next to the slices.
-//           --loops=N shards the front-end over N independent epoll loops
-//           (per-loop SO_REUSEPORT listeners when the kernel allows, else a
-//           round-robin acceptor); /metrics exports per-loop lamb_net_loop_*
-//           series next to the aggregated lamb_http_* families.
+//           --loops=N spreads the front-end over N independent epoll loops
+//           (loop 0 accepts and deals connections round-robin to every
+//           loop); /metrics exports per-loop lamb_net_loop_* series next to
+//           the aggregated lamb_http_* families.
 //           --trace controls the obs::Tracer (default sampled): counters
 //           keeps only the always-on lamb_stage_seconds histograms, sampled
 //           adds full span capture for 1-in---trace-sample requests, full
@@ -104,6 +104,7 @@
 #include <sstream>
 
 #include <thread>
+#include <variant>
 
 #include "anomaly/classifier.hpp"
 #include "model/measured_machine.hpp"
@@ -217,27 +218,23 @@ std::vector<serve::Query> read_queries(const support::Cli& cli,
   return queries;
 }
 
+/// Every exported ServiceStats series, one "stats: name{labels} value" line
+/// each, named as on /metrics.
 void print_stats(const serve::SelectionService& service) {
   const serve::ServiceStats s = service.stats();
-  std::printf("stats: cache %llu hits / %llu misses, %llu atlases built "
-              "(+%llu loaded, %llu skipped, %lld scan samples), "
-              "%llu measured queries\n",
-              static_cast<unsigned long long>(s.cache_hits),
-              static_cast<unsigned long long>(s.cache_misses),
-              static_cast<unsigned long long>(s.atlases_built),
-              static_cast<unsigned long long>(s.atlases_loaded),
-              static_cast<unsigned long long>(s.atlases_skipped),
-              s.atlas_samples,
-              static_cast<unsigned long long>(s.measured_queries));
-  std::printf("stats: answers by source cache=%llu atlas=%llu "
-              "measured=%llu; %llu batch calls (%llu queries), "
-              "%llu async calls\n",
-              static_cast<unsigned long long>(s.cache_answers),
-              static_cast<unsigned long long>(s.atlas_answers),
-              static_cast<unsigned long long>(s.measured_queries),
-              static_cast<unsigned long long>(s.batch_calls),
-              static_cast<unsigned long long>(s.batch_queries),
-              static_cast<unsigned long long>(s.async_calls));
+  const char* family = "";
+  for (const auto& row : serve::kServiceMetrics) {
+    if (row.name == nullptr) {
+      continue;
+    }
+    if (*row.name != '\0') {
+      family = row.name;
+    }
+    std::visit([&](auto member) {
+      std::printf("stats: %s%s %s\n", family, row.labels,
+                  std::to_string(s.*member).c_str());
+    }, row.member);
+  }
 }
 
 void print_recommendations(const std::vector<serve::Query>& queries,
@@ -532,12 +529,9 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
   std::printf("serving on http://%s:%u (POST /v1/query, POST /v1/batch, "
               "GET /healthz, GET /metrics, GET /debug/trace, "
               "GET /debug/slow, POST /debug/sample_rate); "
-              "%zu event loop%s (%s); SIGINT/SIGTERM drains\n",
+              "%zu event loop%s; SIGINT/SIGTERM drains\n",
               server_cfg.bind_address.c_str(), server.port(), server.loops(),
-              server.loops() == 1 ? "" : "s",
-              server.loops() == 1          ? "single listener"
-              : server.sharded_listeners() ? "SO_REUSEPORT sharded"
-                                           : "acceptor handoff");
+              server.loops() == 1 ? "" : "s");
   if (trace_mode != "off") {
     const obs::TracerConfig tc = obs::tracer().config();
     const std::string capture =

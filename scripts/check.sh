@@ -41,9 +41,9 @@ elif [[ "$SANITIZE" == "thread" ]]; then
   TEST_FILTER=(-R 'serve_test|parallel_test|net_test|drift_test|sim_test|blas_kernel_dispatch_test|blas_gemm_test|obs_test|fault_test')
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # Run the net suite multi-reactor under TSan: every ServedService that
-  # does not pin a loop count serves with 2 event loops, so the REUSEPORT
-  # sharding, acceptor handoff, cross-loop stop() and hub completion paths
-  # are all race-checked.
+  # does not pin a loop count serves with 2 event loops, so the round-robin
+  # accept handoff, cross-loop stop() and hub completion paths are all
+  # race-checked.
   export LAMB_NET_TEST_LOOPS="${LAMB_NET_TEST_LOOPS:-2}"
 else
   BUILD_DIR="${1:-build}"

@@ -6,8 +6,8 @@
 #   scripts/http_smoke.sh [build-dir]     (default: build)
 #
 # Environment: PORT (default 18080), LOOPS (default 2 — the server runs
-# multi-reactor so the smoke covers listener sharding and the per-loop
-# /metrics series).
+# multi-reactor so the smoke covers the round-robin accept handoff and the
+# per-loop /metrics series).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -104,8 +104,10 @@ double MeasuredMachine::run_isolated(const KernelCall& call) {
 
 double MeasuredMachine::time_call_isolated(const KernelCall& call) {
   if (const auto cached = isolated_cache_.get(call)) {
+    ++cache_hits_;
     return *cached;
   }
+  ++cache_misses_;
   const double t = run_isolated(call);
   isolated_cache_.put(call, t);
   return t;

@@ -44,10 +44,8 @@ class MeasuredMachine final : public MachineModel {
   std::size_t benchmark_cache_capacity() const {
     return isolated_cache_.capacity();
   }
-  std::uint64_t benchmark_cache_hits() const { return isolated_cache_.hits(); }
-  std::uint64_t benchmark_cache_misses() const {
-    return isolated_cache_.misses();
-  }
+  std::uint64_t benchmark_cache_hits() const { return cache_hits_; }
+  std::uint64_t benchmark_cache_misses() const { return cache_misses_; }
 
  private:
   double run_isolated(const KernelCall& call);
@@ -56,6 +54,8 @@ class MeasuredMachine final : public MachineModel {
   perf::CacheFlusher flusher_;
   mutable double peak_ = 0.0;
   support::LruCache<KernelCall, double, KernelCallHash> isolated_cache_;
+  std::uint64_t cache_hits_ = 0;
+  std::uint64_t cache_misses_ = 0;
 };
 
 }  // namespace lamb::model

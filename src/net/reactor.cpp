@@ -528,7 +528,7 @@ void Reactor::accept_new() {
       continue;
     }
     if (!handoff_.empty()) {
-      // Round-robin acceptor mode: deterministic placement across loops.
+      // loops > 1: deal connections round-robin, one per loop in turn.
       Reactor* target = handoff_[handoff_next_];
       handoff_next_ = (handoff_next_ + 1) % handoff_.size();
       if (target != this) {
@@ -964,7 +964,7 @@ void Reactor::run() {
     if (draining_ && connections_.empty()) {
       break;
     }
-    // A muted listener polls on a short timeout: in handoff mode the fd
+    // A muted listener polls on a short timeout: with loops > 1 the fd
     // that frees capacity may close on another loop, which never reaches
     // this reactor's close_connection re-arm path. The idle reaper rides
     // the same coarse tick — idle connections generate no events, so a

@@ -1,13 +1,13 @@
-// lamb::net::Reactor — one epoll event loop of the sharded HTTP front-end
+// lamb::net::Reactor — one epoll event loop of the multi-loop HTTP front-end
 // (see net/server.hpp for the architecture overview).
 //
 // A Reactor owns, exclusively and for their whole life, the connections it
-// accepted (or adopted from the round-robin acceptor): the epoll instance,
-// the eventfd wake channel, the per-connection parser/writer state and the
-// per-loop counter set all belong to the loop thread, so the request hot
-// path is single-threaded and lock-free. The only cross-thread surface is
-// the Hub — a mutex-guarded mailbox of completed responses, adopted fds,
-// posted tasks and recycled tickets, drained once per wakeup.
+// accepted (reactor 0) or adopted from reactor 0's round robin: the epoll
+// instance, the eventfd wake channel, the per-connection parser/writer
+// state and the per-loop counter set all belong to the loop thread, so the
+// request hot path is single-threaded and lock-free. The only cross-thread
+// surface is the Hub — a mutex-guarded mailbox of completed responses,
+// adopted fds, posted tasks and recycled tickets, drained once per wakeup.
 //
 // Warm requests are allocation-free end to end: the parser reuses its
 // request buffers (net/http.cpp), tickets come from a per-loop pool, and a
@@ -42,9 +42,9 @@ class Reactor {
   struct Completion;
   struct Connection;
 
-  /// `listen_fd` is adopted (closed on failure and in the destructor); -1
-  /// means this loop accepts nothing itself (acceptor-handoff mode, loops
-  /// 1..N-1). `stop_flag` is the server-wide drain request, shared so a
+  /// `listen_fd` is adopted (closed on failure and in the destructor); only
+  /// reactor 0 gets one, loops 1..N-1 pass -1 and serve only the fds it
+  /// hands them. `stop_flag` is the server-wide drain request, shared so a
   /// single atomic store reaches every loop.
   Reactor(const Router& router, const ServerConfig& config,
           const std::atomic<bool>& stop_flag, std::size_t index,
@@ -69,13 +69,13 @@ class Reactor {
   /// Queue `fn` for execution on the loop thread (between events).
   void post_task(std::function<void()> fn);
 
-  /// Adopt a connection accepted by another loop's listener; takes
-  /// ownership of `fd` (closed if this loop is at capacity or torn down).
+  /// Adopt a connection accepted by reactor 0; takes ownership of `fd`
+  /// (closed if this loop is at capacity or torn down).
   void adopt_fd(int fd);
 
   /// Round-robin targets for this reactor's accept loop, in loop order and
-  /// including this reactor itself (acceptor-handoff mode only; must be
-  /// set before run()).
+  /// including this reactor itself. Set on reactor 0 when loops > 1, before
+  /// run(); left empty, every accepted fd is adopted here.
   void set_handoff(std::vector<Reactor*> targets);
 
   /// The reactor whose loop is executing on the current thread, or nullptr
@@ -157,11 +157,11 @@ class Reactor {
   int reserve_fd_ = -1;
   /// Listener interest dropped because fd exhaustion could not be shed;
   /// re-armed when a connection closes (or on a short epoll timeout, since
-  /// in handoff mode the freeing close may happen on another loop).
+  /// with loops > 1 the freeing close may happen on another loop).
   bool listener_muted_ = false;
   bool draining_ = false;
   std::shared_ptr<Hub> hub_;
-  /// Acceptor-handoff round robin (empty in SO_REUSEPORT mode).
+  /// Round-robin accept targets (reactor 0 with loops > 1; else empty).
   std::vector<Reactor*> handoff_;
   std::size_t handoff_next_ = 0;
   std::uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = eventfd

@@ -24,7 +24,7 @@ namespace {
 
 /// Open a bound, listening, non-blocking TCP socket on `addr`. Returns the
 /// fd; -1 with errno set on failure (the socket is closed).
-int open_listener(const sockaddr_in& addr, int backlog, bool reuseport) {
+int open_listener(const sockaddr_in& addr, int backlog) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -32,13 +32,6 @@ int open_listener(const sockaddr_in& addr, int backlog, bool reuseport) {
   }
   const int on = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &on, sizeof(on));
-  if (reuseport &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &on, sizeof(on)) < 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return -1;
-  }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
           0 ||
       ::listen(fd, backlog) < 0) {
@@ -128,66 +121,23 @@ Server::Server(Router router, ServerConfig config)
     throw NetError("invalid bind address: " + config_.bind_address);
   }
 
-  // Listener plan: one fd per loop with SO_REUSEPORT when sharding, else a
-  // single plain listener on reactor 0 (loops == 1, or acceptor mode).
-  const bool want_shards =
-      loops > 1 && config_.listen != ServerConfig::Listen::kAcceptor;
-  std::vector<int> listeners(loops, -1);
-  const auto close_listeners = [&listeners] {
-    for (int& fd : listeners) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
-  };
-
-  listeners[0] = open_listener(addr, config_.backlog, want_shards);
-  if (listeners[0] < 0 && want_shards &&
-      config_.listen == ServerConfig::Listen::kAuto) {
-    // Kernel without SO_REUSEPORT (or refused): fall back to one listener
-    // plus the acceptor handoff.
-    listeners[0] = open_listener(addr, config_.backlog, false);
-  }
-  if (listeners[0] < 0) {
+  // One listener, owned by reactor 0; with loops > 1 it deals accepted fds
+  // round-robin to every loop (Reactor::accept_new).
+  int listener = open_listener(addr, config_.backlog);
+  if (listener < 0) {
     throw_errno("bind/listen " + config_.bind_address + ":" +
                 std::to_string(config_.port));
   }
-
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  if (::getsockname(listeners[0], reinterpret_cast<sockaddr*>(&bound),
-                    &len) < 0) {
-    close_listeners();
+  if (::getsockname(listener, reinterpret_cast<sockaddr*>(&bound), &len) <
+      0) {
+    const int saved = errno;
+    ::close(listener);
+    errno = saved;
     throw_errno("getsockname");
   }
   port_ = ntohs(bound.sin_port);
-  addr.sin_port = bound.sin_port;  // shards bind the resolved port
-
-  if (want_shards) {
-    bool ok = true;
-    for (std::size_t i = 1; i < loops; ++i) {
-      listeners[i] = open_listener(addr, config_.backlog, true);
-      if (listeners[i] < 0) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      sharded_listeners_ = true;
-    } else if (config_.listen == ServerConfig::Listen::kReusePort) {
-      close_listeners();
-      throw_errno("SO_REUSEPORT listener shard");
-    } else {
-      // kAuto: keep listener 0, hand fds off round-robin instead.
-      for (std::size_t i = 1; i < loops; ++i) {
-        if (listeners[i] >= 0) {
-          ::close(listeners[i]);
-          listeners[i] = -1;
-        }
-      }
-    }
-  }
 
   // Each loop enforces its share of the connection bound locally, so the
   // accept path never consults another loop.
@@ -195,18 +145,13 @@ Server::Server(Router router, ServerConfig config)
       std::max<std::size_t>(1, (config_.max_connections + loops - 1) / loops);
 
   reactors_.reserve(loops);
-  try {
-    for (std::size_t i = 0; i < loops; ++i) {
-      const int fd = listeners[i];
-      listeners[i] = -1;  // the reactor adopts it (even on ctor failure)
-      reactors_.push_back(std::make_unique<Reactor>(
-          router_, config_, stop_, i, fd, per_loop));
-    }
-  } catch (...) {
-    close_listeners();
-    throw;
+  for (std::size_t i = 0; i < loops; ++i) {
+    // Reactor 0 adopts the listener (and closes it even on ctor failure).
+    const int fd = i == 0 ? std::exchange(listener, -1) : -1;
+    reactors_.push_back(std::make_unique<Reactor>(router_, config_, stop_, i,
+                                                  fd, per_loop));
   }
-  if (!sharded_listeners_ && loops > 1) {
+  if (loops > 1) {
     std::vector<Reactor*> targets;
     targets.reserve(loops);
     for (const auto& reactor : reactors_) {

@@ -1,7 +1,7 @@
-// lamb::net::Server — a dependency-free Linux epoll HTTP/1.1 front-end,
-// sharded over N independent event loops.
+// lamb::net::Server — a dependency-free Linux epoll HTTP/1.1 front-end
+// spread over N independent event loops.
 //
-// The Server is a thin coordinator: it binds the listeners, builds N
+// The Server is a thin coordinator: it binds the listener, builds N
 // Reactors (net/reactor.hpp — epoll loop + eventfd completion hub +
 // per-connection state machine), runs one per thread, and merges their
 // per-loop statistics at scrape time. Each connection is owned by exactly
@@ -10,12 +10,11 @@
 // hot path takes no cross-loop locks (and, warm, no allocations — see the
 // inline completion path in net/reactor.cpp).
 //
-// Listener sharding: with loops > 1 every reactor gets its own
-// SO_REUSEPORT listener on the same port and the kernel load-balances new
-// connections by 4-tuple hash. Where SO_REUSEPORT is unavailable (or
-// ServerConfig::listen forces it) reactor 0 accepts alone and hands the
-// accepted fds round-robin to the other loops through their eventfd
-// channels.
+// One accept path: reactor 0 owns the only listener. With loops > 1 it
+// deals accepted fds round-robin to every loop (itself included) through
+// their eventfd hubs, so N sequential connections land one per loop —
+// deterministic placement, which a few long-lived keep-alive clients need
+// to keep every loop busy (a kernel 4-tuple hash can leave loops idle).
 //
 // Handlers never block a loop: a Router handler receives the parsed
 // request plus a Responder ticket it may complete from any thread. A
@@ -29,7 +28,7 @@
 //
 // Shutdown is graceful by default: stop() (async-signal-safe — an atomic
 // store plus one eventfd write per loop, so a SIGTERM handler may call it;
-// idempotent under concurrent callers) closes every listener, lets
+// idempotent under concurrent callers) closes the listener, lets
 // in-flight requests finish and flush on their owning loops, then run()
 // joins the loop threads in order and returns.
 #pragma once
@@ -73,13 +72,6 @@ struct ServerConfig {
   /// harness overrides it (tests that depend on single-loop semantics pin
   /// loops = 1 explicitly). Capped at 64.
   std::size_t loops = 0;
-  /// How new connections reach the loops when loops > 1. kAuto tries
-  /// per-loop SO_REUSEPORT listeners and falls back to the acceptor
-  /// handoff; the explicit values force one path (kReusePort throws when
-  /// the kernel refuses; kAcceptor is deterministic round-robin, which the
-  /// connection-ownership tests rely on).
-  enum class Listen : std::uint8_t { kAuto, kReusePort, kAcceptor };
-  Listen listen = Listen::kAuto;
   /// Admission control: when > 0 and a loop sees new request bytes arrive
   /// while it already has ceil(max_in_flight / loops) requests in flight
   /// (split per loop like max_connections, so the check stays loop-local),
@@ -266,16 +258,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// The bound port (the ephemeral one when config.port was 0); every loop
-  /// serves this same port.
+  /// The bound port (the ephemeral one when config.port was 0).
   std::uint16_t port() const { return port_; }
   const ServerConfig& config() const { return config_; }
 
   /// Number of reactors actually running (config.loops resolved).
   std::size_t loops() const { return reactors_.size(); }
-  /// True when every loop owns its own SO_REUSEPORT listener; false when
-  /// reactor 0 accepts alone and hands fds off round-robin.
-  bool sharded_listeners() const { return sharded_listeners_; }
 
   /// Whole-server counters: every reactor's stats merged into one plain
   /// snapshot (histograms merge exactly — see LatencyHistogram::merge).
@@ -306,7 +294,6 @@ class Server {
   Router router_;
   ServerConfig config_;
   std::uint16_t port_ = 0;
-  bool sharded_listeners_ = false;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   /// Built once in the constructor, never resized: stop() iterates this

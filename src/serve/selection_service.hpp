@@ -197,7 +197,8 @@ inline constexpr support::MetricRow<ServiceStats> kServiceMetrics[] = {
     {&ServiceStats::atlases_loaded, "lamb_selection_atlases_loaded_total", "",
      "counter", "Region atlases loaded from disk."},
     {&ServiceStats::atlases_skipped, "lamb_selection_atlases_skipped_total",
-     "", "counter", "Atlas builds skipped (already resident)."},
+     "", "counter",
+     "Corrupt atlas files skipped at warm-up (could not be set aside)."},
     {&ServiceStats::atlases_quarantined,
      "lamb_selection_atlases_quarantined_total", "", "counter",
      "Corrupt atlas files renamed aside (*.corrupt) at warm-up."},

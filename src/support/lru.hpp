@@ -3,10 +3,10 @@
 // One map + intrusive recency list; not synchronised — callers that share a
 // cache across threads wrap it in a mutex (serve/ stripes many of these
 // behind per-shard mutexes, MeasuredMachine keeps a single private one).
-// `capacity == 0` means unbounded, for callers that only want the counters.
+// `capacity == 0` means unbounded.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -23,10 +23,8 @@ class LruCache {
   std::optional<Value> get(const Key& key) {
     const auto it = map_.find(key);
     if (it == map_.end()) {
-      ++misses_;
       return std::nullopt;
     }
-    ++hits_;
     order_.splice(order_.begin(), order_, it->second);
     return it->second->second;
   }
@@ -50,17 +48,11 @@ class LruCache {
 
   std::size_t size() const { return map_.size(); }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
 
-  /// Drops every entry and resets the hit/miss counters — a cleared cache
-  /// reports a fresh hit rate instead of one skewed by its previous life
-  /// (serve/'s cache-hit-rate reporting depends on this).
+  /// Drops every entry.
   void clear() {
     map_.clear();
     order_.clear();
-    hits_ = 0;
-    misses_ = 0;
   }
 
  private:
@@ -69,8 +61,6 @@ class LruCache {
   std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
                      Hash>
       map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace lamb::support

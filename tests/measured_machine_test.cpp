@@ -73,6 +73,19 @@ TEST(MeasuredMachine, BenchmarkCacheCountersTrackHitsAndMisses) {
   EXPECT_EQ(m.benchmark_cache_misses(), 1u);
 }
 
+TEST(MeasuredMachine, ClearBenchmarkCacheKeepsTheCounters) {
+  MeasuredMachine m(fast_config());
+  const KernelCall call = make_gemm(16, 16, 16);
+  m.time_call_isolated(call);
+  m.time_call_isolated(call);
+  m.clear_benchmark_cache();
+  EXPECT_EQ(m.benchmark_cache_hits(), 1u);
+  EXPECT_EQ(m.benchmark_cache_misses(), 1u);
+  m.time_call_isolated(call);  // the memo is gone: measured again
+  EXPECT_EQ(m.benchmark_cache_hits(), 1u);
+  EXPECT_EQ(m.benchmark_cache_misses(), 2u);
+}
+
 TEST(MeasuredMachine, TimeStepsMatchesAlgorithmStructure) {
   MeasuredMachine m(fast_config());
   const auto algs = lamb::expr::enumerate_aatb_algorithms(20, 16, 24);

@@ -176,7 +176,7 @@ class ServedService {
         server_(routes_.router(), apply_test_loops(std::move(server_cfg))) {
     routes_.attach_server(&server_);
     loop_ = std::thread([this] { server_.run(); });
-    // The listeners exist before run(), so connects succeed already.
+    // The listener exists before run(), so connects succeed already.
   }
 
   ~ServedService() { shutdown(); }
@@ -762,7 +762,7 @@ lamb_selection_atlas_samples_total counter - | Measurements taken while building
 lamb_selection_atlases_built_total counter - | Region atlases built.
 lamb_selection_atlases_loaded_total counter - | Region atlases loaded from disk.
 lamb_selection_atlases_quarantined_total counter - | Corrupt atlas files renamed aside (*.corrupt) at warm-up.
-lamb_selection_atlases_skipped_total counter - | Atlas builds skipped (already resident).
+lamb_selection_atlases_skipped_total counter - | Corrupt atlas files skipped at warm-up (could not be set aside).
 lamb_selection_batch_calls_total counter - | query_batch() calls.
 lamb_selection_batch_queries_total counter - | Queries carried by batch calls.
 lamb_selection_cache_hit_ratio gauge - | Cache hits over lookups since start.
@@ -1055,40 +1055,14 @@ TEST(NetServe, ConcurrentClientsGetBitIdenticalAnswers) {
 
 // ------------------------------------------------------------ multi-reactor
 
-TEST(NetServe, AcceptorModeRoundRobinsConnectionsAcrossLoops) {
-  ServerConfig cfg;
-  cfg.loops = 3;
-  cfg.listen = ServerConfig::Listen::kAcceptor;
-  ServedService served(cfg);
-  ASSERT_EQ(served.server().loops(), 3u);
-  EXPECT_FALSE(served.server().sharded_listeners());
-  // Nine sequential keep-alive connections: the acceptor deals them out
-  // round-robin, so every loop ends up owning exactly three and answers
-  // their requests on its own thread.
-  std::vector<Client> clients;
-  for (int i = 0; i < 9; ++i) {
-    clients.push_back(served.connect());
-    ASSERT_EQ(clients.back().request("GET", "/healthz").status, 200);
-  }
-  std::uint64_t total_requests = 0;
-  for (std::size_t i = 0; i < served.server().loops(); ++i) {
-    const net::HttpStatsSnapshot s = served.server().loop_stats(i);
-    EXPECT_EQ(s.connections_accepted, 3u) << "loop " << i;
-    EXPECT_EQ(s.requests_total, 3u) << "loop " << i;
-    total_requests += s.requests_total;
-  }
-  EXPECT_EQ(total_requests, 9u);
-  EXPECT_EQ(served.server().stats().requests_total, 9u);
-}
-
-TEST(NetServe, ShardedListenersAnswerBitIdenticallyAcrossLoops) {
+TEST(NetServe, ConnectionsRoundRobinAcrossLoopsAndAnswerBitIdentically) {
   ServerConfig cfg;
   cfg.loops = 4;
   ServedService served(cfg);
   ASSERT_EQ(served.server().loops(), 4u);
-  // kAuto on Linux shards the listeners; the kernel spreads connections by
-  // 4-tuple hash, so per-loop balance is probabilistic — assert totals and
-  // answer fidelity instead.
+  // Sixteen sequential connections, one query each: loop 0 deals them out
+  // round-robin, so every loop owns exactly four and answers their queries
+  // on its own thread, bit-identically to the in-process service.
   const int kConnections = 16;
   for (int c = 0; c < kConnections; ++c) {
     Client client = served.connect();
@@ -1100,6 +1074,11 @@ TEST(NetServe, ShardedListenersAnswerBitIdenticallyAcrossLoops) {
               served.reference().query(Query{"scripted", {d}, 0, false}))
         << "connection " << c;
   }
+  for (std::size_t i = 0; i < served.server().loops(); ++i) {
+    const net::HttpStatsSnapshot s = served.server().loop_stats(i);
+    EXPECT_EQ(s.connections_accepted, 4u) << "loop " << i;
+    EXPECT_EQ(s.requests_total, 4u) << "loop " << i;
+  }
   const net::HttpStatsSnapshot merged = served.server().stats();
   EXPECT_EQ(merged.connections_accepted,
             static_cast<std::uint64_t>(kConnections));
@@ -1110,8 +1089,7 @@ TEST(NetServe, ShardedListenersAnswerBitIdenticallyAcrossLoops) {
 
 TEST(NetServe, MultiLoopPipeliningStaysOrderedPerConnection) {
   ServerConfig cfg;
-  cfg.loops = 2;
-  cfg.listen = ServerConfig::Listen::kAcceptor;  // one connection per loop
+  cfg.loops = 2;  // round-robin: a lands on loop 0, b on loop 1
   ServedService served(cfg);
   Client a = served.connect();
   Client b = served.connect();
@@ -1149,8 +1127,7 @@ TEST(NetServe, GracefulDrainAcrossLoops) {
     }).detach();
   });
   ServerConfig cfg;
-  cfg.loops = 2;
-  cfg.listen = ServerConfig::Listen::kAcceptor;  // one connection per loop
+  cfg.loops = 2;  // round-robin: a lands on loop 0, b on loop 1
   Server server(std::move(router), cfg);
   std::thread loop([&] { server.run(); });
   Client a("127.0.0.1", server.port());
@@ -1167,7 +1144,7 @@ TEST(NetServe, GracefulDrainAcrossLoops) {
   EXPECT_EQ(b.receive().body, "done\n");
   loop.join();
   EXPECT_FALSE(server.running());
-  // Every listener is gone: new connections are refused.
+  // The listener is gone: new connections are refused.
   EXPECT_THROW(Client("127.0.0.1", server.port()), net::NetError);
 }
 
